@@ -124,7 +124,7 @@ func BenchmarkTable2Sampler(b *testing.B) {
 			b.ReportMetric(float64(bb.Program.OpCount()), "wordops/batch")
 		})
 		// The same circuit at explicit widths (1 = the paper's per-batch
-		// stream layout; the default above is sampler.DefaultWidth).
+		// form; the default above is sampler.NativeWidth).
 		for _, w := range []int{1, 4} {
 			b.Run(fmt.Sprintf("sigma%s/thiswork-w%d", sigma, w), func(b *testing.B) {
 				bb := benchBuilt(b, sigma, 128, core.MinimizeExact)

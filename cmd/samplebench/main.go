@@ -212,15 +212,11 @@ func table2(batches int, ghz float64, jsonPath string) {
 		}
 		row("reference-interp", nsRef, split.Program.OpCount())
 
-		// The optimized interpreter at each evaluation width, always
-		// including the serving default.
+		// The optimized interpreter at each evaluation width; every width
+		// draws the same stream, so the rows differ in speed only.
 		optOps := split.Optimized().OpCount()
-		widths := []int{1, 4, 8}
-		if sampler.DefaultWidth != 4 && sampler.DefaultWidth != 8 && sampler.DefaultWidth != 1 {
-			widths = append(widths, sampler.DefaultWidth)
-		}
 		nsW := map[int]float64{}
-		for _, w := range widths {
+		for _, w := range []int{1, 4, 8, 16} {
 			s := split.NewWideSampler(prng.MustChaCha20([]byte("bench")), w)
 			ns := float64(timeBatches(s, batches).Nanoseconds()) / float64(batches)
 			nsW[w] = ns
@@ -236,11 +232,11 @@ func table2(batches int, ghz float64, jsonPath string) {
 		nsc := float64(timeBatches(sc, batches).Nanoseconds()) / float64(batches)
 		row("compiled", nsc, split.Program.OpCount())
 
-		// The [21] baseline, interpreted at the default width.
+		// The [21] baseline, interpreted at the native width.
 		s2 := simple.NewSampler(prng.MustChaCha20([]byte("bench")))
 		ns2 := float64(timeBatches(s2, batches).Nanoseconds()) / float64(batches)
 
-		ns1 := nsW[sampler.DefaultWidth]
+		ns1 := nsW[sampler.NativeWidth()]
 		fmt.Printf("%-12s %-26s %12.0f %12.0f %14d\n", sigma, "this work (compiled)", nsc, nsc*ghz, split.Program.OpCount())
 		fmt.Printf("%-12s %-26s %12.0f %12.0f %14d\n", sigma, "this work (interp. wide)", ns1, ns1*ghz, split.Program.OpCount())
 		fmt.Printf("%-12s %-26s %12.0f %12.0f %14d\n", sigma, "this work (interp. ref)", nsRef, nsRef*ghz, split.Program.OpCount())

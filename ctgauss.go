@@ -118,14 +118,7 @@ func NewWithConfig(cfg Config) (*Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The one-shot Sampler pins the portable evaluation width: its
-	// documented examples promise an exact stream for a given seed, so
-	// the stream must not depend on which CPU (or CTGAUSS_SIMD setting)
-	// runs it.  SIMD backends still accelerate this width — the backend
-	// never changes a stream, only the native width does — and the
-	// serving Pool, which makes no cross-machine stream promise, widens
-	// to the backend's native width for throughput.
-	inner := sampler.NewBitslicedWidth("bitsliced-split("+cfg.Sigma+")", built.Optimized(), src, sampler.DefaultWidth)
+	inner := sampler.NewBitslicedOpt("bitsliced-split("+cfg.Sigma+")", built.Optimized(), src)
 	return &Sampler{built: built, inner: inner}, nil
 }
 

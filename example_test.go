@@ -18,7 +18,7 @@ func ExampleNew() {
 	fmt.Println("first samples:", s.Next(), s.Next(), s.Next(), s.Next())
 	// Output:
 	// σ=2 n=128: Δ=5, 1139 leaves in 125 sublists, 3588 word ops, 8384 bits/batch
-	// first samples: -1 0 -1 4
+	// first samples: 1 -3 3 4
 }
 
 func ExampleSampler_NextBatch() {
@@ -32,7 +32,7 @@ func ExampleSampler_NextBatch() {
 	s.NextBatch(batch)
 	fmt.Println(batch[:8])
 	// Output:
-	// [1 0 -1 -4 1 -1 -2 -3]
+	// [1 3 3 -4 -1 1 -2 -1]
 }
 
 func ExampleNewLargeSigma() {
@@ -46,7 +46,7 @@ func ExampleNewLargeSigma() {
 	wide := ctgauss.NewLargeSigma(base, 10)
 	fmt.Println(wide.Next(), wide.Next(), wide.Next())
 	// Output:
-	// 1 -41 -9
+	// 31 -37 9
 }
 
 func ExampleNewPool() {
@@ -60,19 +60,14 @@ func ExampleNewPool() {
 	if err != nil {
 		panic(err)
 	}
+	defer pool.Close()
 	batch := make([]int, 64)
 	pool.NextBatch(batch) // safe to call from concurrent goroutines
-	// Pool streams depend on the host's SIMD evaluation width, so check
-	// the draw instead of printing machine-dependent sample values.
-	inRange := true
-	for _, z := range batch {
-		if z < -27 || z > 27 { // support of σ=2, τ=13: |z| ≤ ⌈13·2⌉
-			inRange = false
-		}
-	}
-	fmt.Println(pool.Size(), len(batch), inRange)
+	// The samples depend on the seed only, not on the host's SIMD
+	// backend or evaluation width.
+	fmt.Println(pool.Size(), batch[:8])
 	// Output:
-	// 4 64 true
+	// 4 [-1 2 1 2 2 -4 -1 -3]
 }
 
 func ExampleNewArbitrary() {

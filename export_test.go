@@ -6,3 +6,7 @@ package ctgauss
 
 // TakeFromShard copies the next len(dst) samples of one shard's stream.
 func (p *Pool) TakeFromShard(shard int, dst []int) error { return p.eng.TakeFrom(nil, shard, dst) }
+
+// ShardSeed exposes the per-shard seed derivation, so tests can rebuild
+// one shard's stream outside the pool.
+func ShardSeed(seed []byte, shard int) []byte { return shardSeed(seed, shard) }

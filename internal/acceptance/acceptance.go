@@ -137,14 +137,16 @@ type GridReport struct {
 type GoldenResult struct {
 	Name   string `json:"name"`
 	PRNG   string `json:"prng"`
-	Width  int    `json:"width"`
 	SHA256 string `json:"sha256"`
-	// DepthsVerified lists the engine prefetch depths whose streams
-	// matched the pinned vector (identity across depths is part of the
-	// contract, not just identity at one).
-	DepthsVerified []int  `json:"depths_verified,omitempty"`
-	Pass           bool   `json:"pass"`
-	Err            string `json:"error,omitempty"`
+	// Backends, Widths and DepthsVerified list the SIMD backends,
+	// evaluation widths and engine prefetch depths whose streams matched
+	// the pinned vector (identity across all of them is the contract,
+	// not just identity at one).
+	Backends       []string `json:"backends_verified,omitempty"`
+	Widths         []int    `json:"widths_verified,omitempty"`
+	DepthsVerified []int    `json:"depths_verified,omitempty"`
+	Pass           bool     `json:"pass"`
+	Err            string   `json:"error,omitempty"`
 }
 
 // TimingResult is one dudect comparison: Welch's t between two input

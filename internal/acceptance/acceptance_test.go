@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"ctgauss/internal/bitslice/dispatch"
 )
 
 // TestEvalCellPowerAndEncoding checks the gate's two sides on synthetic
@@ -76,12 +78,13 @@ func TestReportFinalizeAndJSON(t *testing.T) {
 }
 
 // TestGoldenVerify is the standing regression net: every pinned stream —
-// all PRNG backends × engine widths plus the compiled circuits — must
-// match testdata/golden.json at every prefetch depth.  This subsumes the
-// depth>0 vs depth=0 identity property at W ∈ {1, 2, 4, 8, 16}: one
-// pinned digest, three depths.  Cross-SIMD-backend identity at the
-// kernel widths is TestGoldenBackendsIdentical.
+// each PRNG on the interpreter plus the compiled circuits — must match
+// testdata/golden.json under every SIMD backend this machine can run,
+// at every width in GoldenWidths and every prefetch depth.  One pinned
+// digest per stream covers the whole (backend, width, depth) grid, and
+// the full-precision interpreter must reproduce the compiled digests.
 func TestGoldenVerify(t *testing.T) {
+	backends := 1 + len(dispatch.Detected())
 	results, err := VerifyGolden("testdata/golden.json")
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +97,9 @@ func TestGoldenVerify(t *testing.T) {
 			t.Errorf("golden %s: %s", r.Name, r.Err)
 			continue
 		}
-		if len(r.DepthsVerified) != len(GoldenDepths) {
-			t.Errorf("golden %s verified at depths %v, want %v", r.Name, r.DepthsVerified, GoldenDepths)
+		if len(r.Backends) != backends || len(r.Widths) != len(GoldenWidths) || len(r.DepthsVerified) != len(GoldenDepths) {
+			t.Errorf("golden %s verified on %v at widths %v, depths %v; want %d backends, widths %v, depths %v",
+				r.Name, r.Backends, r.Widths, r.DepthsVerified, backends, GoldenWidths, GoldenDepths)
 		}
 	}
 }

@@ -128,13 +128,9 @@ func RunCT(opt CTOptions) (timing []TimingResult, work []WorkResult, err error) 
 
 		// Work ledger: the bitsliced sampler must draw a bit-exact
 		// constant amount of randomness per refill at the paper's
-		// per-batch width, the portable width, and — when it differs —
-		// the active SIMD backend's native serving width.
-		widths := []int{1, sampler.DefaultWidth}
-		if nw := sampler.NativeWidth(); nw != sampler.DefaultWidth {
-			widths = append(widths, nw)
-		}
-		for _, width := range widths {
+		// per-batch width and at the active SIMD backend's native
+		// serving width.
+		for _, width := range []int{1, sampler.NativeWidth()} {
 			s := b.NewWideSampler(prng.MustChaCha20([]byte("acceptance-work")), width)
 			var w ctcheck.WorkTrace
 			prev := uint64(0)

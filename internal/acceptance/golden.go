@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 
+	"ctgauss/internal/bitslice/dispatch"
 	"ctgauss/internal/core"
 	"ctgauss/internal/engine"
 	"ctgauss/internal/prng"
@@ -19,16 +20,18 @@ import (
 // GoldenCase identifies one pinned stream: a sampler construction whose
 // exact output is part of the repository's contract.
 type GoldenCase struct {
-	// Name is the stable identifier ("interp/chacha20/w4", ...); the seed
+	// Name is the stable identifier ("interp/chacha20/w1", ...); the seed
 	// derives from it, so renaming a case re-keys its stream.
 	Name string `json:"name"`
-	// Kind is "interp" (bitsliced interpreter at Width) or "compiled"
-	// (pregenerated native circuit, width 1).
+	// Kind is "interp" (bitsliced interpreter) or "compiled"
+	// (pregenerated native circuit).
 	Kind      string `json:"kind"`
 	Sigma     string `json:"sigma"`
 	Precision int    `json:"precision"`
 	PRNG      string `json:"prng"`
-	Width     int    `json:"width"`
+	// Width is the evaluation width the digest is recorded at; the
+	// stream is the same at every width, which VerifyGolden checks.
+	Width int `json:"width"`
 	// Count is the pinned stream length in samples.
 	Count int `json:"count"`
 }
@@ -55,31 +58,33 @@ type GoldenFile struct {
 // Identity across all of them is the cross-depth stream contract.
 var GoldenDepths = []int{0, 2, 5}
 
-// goldenCount is the pinned stream length: four refills at the widest
+// GoldenWidths are the evaluation widths every vector is verified at:
+// the narrow interpreter layouts and the SIMD kernel widths 8 and 16
+// (the portable and the AVX2/AVX-512 native widths).  One digest per
+// stream at all of them is the one-layout contract.
+var GoldenWidths = []int{1, 2, 4, 8, 16}
+
+// goldenCount is the pinned stream length: two refills at the widest
 // lane configuration, enough to cross several slot boundaries at every
 // depth.
 const goldenCount = 2048
 
-// GoldenCases enumerates the pinned set: every PRNG backend at every
-// supported engine width on the interpreter path (reduced precision for
-// build speed — the stream contract is configuration-specific, not
-// precision-blind), plus the full-precision pregenerated native circuits.
+// GoldenCases enumerates the pinned set, one row per stream: every PRNG
+// backend on the interpreter path (reduced precision for build speed —
+// the stream contract is configuration-specific, not precision-blind),
+// plus the full-precision pregenerated native circuits.
 func GoldenCases() []GoldenCase {
 	var cases []GoldenCase
 	for _, prngName := range []string{"chacha20", "shake256", "aes-ctr"} {
-		// 8 and 16 are the SIMD kernel widths (portable/AVX2 and AVX-512
-		// native); 1, 2, 4 pin the narrow interpreter layouts.
-		for _, w := range []int{1, 2, 4, 8, 16} {
-			cases = append(cases, GoldenCase{
-				Name:      fmt.Sprintf("interp/%s/w%d", prngName, w),
-				Kind:      "interp",
-				Sigma:     "2",
-				Precision: 48,
-				PRNG:      prngName,
-				Width:     w,
-				Count:     goldenCount,
-			})
-		}
+		cases = append(cases, GoldenCase{
+			Name:      "interp/" + prngName + "/w1",
+			Kind:      "interp",
+			Sigma:     "2",
+			Precision: 48,
+			PRNG:      prngName,
+			Width:     1,
+			Count:     goldenCount,
+		})
 	}
 	for _, sig := range gen.Sigmas() {
 		cases = append(cases, GoldenCase{
@@ -95,9 +100,11 @@ func GoldenCases() []GoldenCase {
 	return cases
 }
 
-// goldenStream regenerates a case's stream through the engine runtime at
-// the given prefetch depth.
-func goldenStream(c GoldenCase, depth int) ([]int, error) {
+// goldenStream regenerates a case's stream through the engine runtime,
+// w batches per refill, at the given prefetch depth.  kind selects the
+// circuit: "interp" evaluates the interpreter at width w, "compiled" the
+// pregenerated native circuit (one batch per evaluation).
+func goldenStream(c GoldenCase, kind string, w, depth int) ([]int, error) {
 	art, err := registry.Shared().Get(core.Config{
 		Sigma:   c.Sigma,
 		N:       c.Precision,
@@ -112,9 +119,9 @@ func goldenStream(c GoldenCase, depth int) ([]int, error) {
 		return nil, fmt.Errorf("acceptance: golden %s: %w", c.Name, err)
 	}
 	var bs sampler.BatchSampler
-	switch c.Kind {
+	switch kind {
 	case "interp":
-		bs = art.NewWideSampler(src, c.Width)
+		bs = art.NewWideSampler(src, w)
 	case "compiled":
 		fn, nin, nval, ok := gen.Lookup(c.Sigma)
 		if !ok {
@@ -126,9 +133,9 @@ func goldenStream(c GoldenCase, depth int) ([]int, error) {
 		}
 		bs = sampler.NewCompiled("golden-compiled("+c.Sigma+")", fn, nin, nval, src)
 	default:
-		return nil, fmt.Errorf("acceptance: golden %s: unknown kind %q", c.Name, c.Kind)
+		return nil, fmt.Errorf("acceptance: golden %s: unknown kind %q", c.Name, kind)
 	}
-	eng := engine.New(engine.Config{Shards: 1, SlotSize: c.Width * 64, Depth: depth},
+	eng := engine.New(engine.Config{Shards: 1, SlotSize: w * 64, Depth: depth},
 		func(_ int, dst []int) {
 			for off := 0; off < len(dst); off += 64 {
 				bs.NextBatch(dst[off : off+64])
@@ -160,7 +167,7 @@ func hashSamples(samples []int) string {
 func RecordGolden(path string) (*GoldenFile, error) {
 	gf := &GoldenFile{Version: ReportVersion}
 	for _, c := range GoldenCases() {
-		stream, err := goldenStream(c, 0)
+		stream, err := goldenStream(c, c.Kind, c.Width, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -198,9 +205,15 @@ func loadGolden(path string) (*GoldenFile, error) {
 	return &gf, nil
 }
 
-// VerifyGolden checks every current case against the pinned file at
-// every depth in GoldenDepths.  A case missing from the file, a stale
-// vector without a matching case, or any digest mismatch fails.
+// VerifyGolden checks every current case against the pinned file.  Each
+// case's stream is regenerated under every backend this machine can run
+// (dispatch.Force), at every width in GoldenWidths and every depth in
+// GoldenDepths, and each replay must match the pinned digest: backend,
+// width and depth choose speed, never a sample.  A compiled case is also
+// replayed through the interpreter at the backend's native width, so
+// the generated circuit and the interpreter pin one stream.  A case
+// missing from the file, a stale vector without a matching case, or any
+// digest mismatch fails.
 func VerifyGolden(path string) ([]GoldenResult, error) {
 	gf, err := loadGolden(path)
 	if err != nil {
@@ -216,44 +229,76 @@ func VerifyGolden(path string) ([]GoldenResult, error) {
 	seen := make(map[string]bool, len(current))
 	for _, c := range current {
 		seen[c.Name] = true
-		res := GoldenResult{Name: c.Name, PRNG: c.PRNG, Width: c.Width}
+		res := GoldenResult{Name: c.Name, PRNG: c.PRNG}
 		v, ok := pinned[c.Name]
-		if !ok {
+		switch {
+		case !ok:
 			res.Err = "case not in golden file — record it"
-			results = append(results, res)
-			continue
-		}
-		if v.GoldenCase != c {
+		case v.GoldenCase != c:
 			res.Err = fmt.Sprintf("pinned parameters %+v diverge from current case %+v", v.GoldenCase, c)
-			results = append(results, res)
-			continue
-		}
-		res.SHA256 = v.SHA256
-		res.Pass = true
-		for _, depth := range GoldenDepths {
-			stream, err := goldenStream(c, depth)
-			if err != nil {
-				res.Pass = false
-				res.Err = err.Error()
-				break
-			}
-			if got := hashSamples(stream); got != v.SHA256 {
-				res.Pass = false
-				res.Err = fmt.Sprintf("depth %d stream digest %s != pinned %s (head now %v, pinned %v)",
-					depth, got[:16], v.SHA256[:16], stream[:min(8, len(stream))], v.Head)
-				break
-			}
-			res.DepthsVerified = append(res.DepthsVerified, depth)
+		default:
+			res.SHA256 = v.SHA256
+			res.Err = verifyVector(v, &res)
+			res.Pass = res.Err == ""
 		}
 		results = append(results, res)
 	}
 	for _, v := range gf.Vectors {
 		if !seen[v.Name] {
 			results = append(results, GoldenResult{
-				Name: v.Name, PRNG: v.PRNG, Width: v.Width, SHA256: v.SHA256,
+				Name: v.Name, PRNG: v.PRNG, SHA256: v.SHA256,
 				Err: "stale vector: no current case — re-record the golden file",
 			})
 		}
 	}
 	return results, nil
+}
+
+// verifyVector replays v under each available backend, recording the
+// backends that matched in res, and returns the first mismatch ("" when
+// every replay matches).
+func verifyVector(v GoldenVector, res *GoldenResult) string {
+	for _, b := range append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...) {
+		restore, err := dispatch.Force(b)
+		if err != nil {
+			return err.Error()
+		}
+		msg := verifyUnderActive(v)
+		restore()
+		if msg != "" {
+			return fmt.Sprintf("backend %s: %s", b, msg)
+		}
+		res.Backends = append(res.Backends, b.String())
+	}
+	res.Widths, res.DepthsVerified = GoldenWidths, GoldenDepths
+	return ""
+}
+
+// verifyUnderActive replays v at every width and depth on the active
+// backend.
+func verifyUnderActive(v GoldenVector) string {
+	type replay struct {
+		kind string
+		w    int
+	}
+	var replays []replay
+	for _, w := range GoldenWidths {
+		replays = append(replays, replay{v.Kind, w})
+	}
+	if v.Kind == "compiled" {
+		replays = append(replays, replay{"interp", sampler.NativeWidth()})
+	}
+	for _, r := range replays {
+		for _, depth := range GoldenDepths {
+			stream, err := goldenStream(v.GoldenCase, r.kind, r.w, depth)
+			if err != nil {
+				return err.Error()
+			}
+			if got := hashSamples(stream); got != v.SHA256 {
+				return fmt.Sprintf("%s w=%d depth %d stream digest %s != pinned %s (head now %v, pinned %v)",
+					r.kind, r.w, depth, got[:16], v.SHA256[:16], stream[:min(8, len(stream))], v.Head)
+			}
+		}
+	}
+	return ""
 }

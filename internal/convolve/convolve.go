@@ -224,8 +224,8 @@ func New(cfg Config) (*Sampler, error) {
 	s.engines = make([]*engine.Engine[int], len(set.Members))
 	s.baseBits = make([]uint64, len(set.Members))
 	// Base evaluation width follows the active SIMD backend; captured once
-	// here so every member's stream, refill quantum, and bit ledger agree
-	// even if a test flips the backend mid-lifetime.
+	// here so every member's refill quantum and bit ledger agree even if
+	// a test flips the backend mid-lifetime.
 	baseWidth := sampler.NativeWidth()
 	for bi, art := range set.Members {
 		art := art

@@ -308,8 +308,7 @@ func (b *Built) Optimized() *bitslice.Optimized {
 
 // NewSampler instantiates a constant-time sampler instance over the built
 // program with its own PRNG state, at the active SIMD backend's native
-// evaluation width (the stream layout therefore depends on the host's
-// best backend; width-stable consumers use NewWideSampler).
+// evaluation width.
 func (b *Built) NewSampler(src prng.Source) *sampler.Bitsliced {
 	return sampler.NewBitslicedOpt("bitsliced-split("+b.Config.Sigma+")", b.Optimized(), src)
 }

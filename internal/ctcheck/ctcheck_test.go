@@ -98,7 +98,7 @@ func TestBitslicedSamplerWorkIsConstant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{1, sampler.DefaultWidth} {
+	for _, width := range []int{1, sampler.NativeWidth()} {
 		s := b.NewWideSampler(prng.MustChaCha20([]byte("ct")), width)
 		var w WorkTrace
 		prev := uint64(0)

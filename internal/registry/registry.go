@@ -83,9 +83,8 @@ func (a *Artifact) Optimized() *bitslice.Optimized {
 
 // NewSampler instantiates an independent constant-time sampler over the
 // cached circuit at the active SIMD backend's native width.  Instances
-// needing a width-stable stream use NewWideSampler.  Instances share the
-// immutable optimized program but own their PRNG state, so each is as
-// cheap as a few slice allocations.
+// share the immutable optimized program but own their PRNG state, so
+// each is as cheap as a few slice allocations.
 func (a *Artifact) NewSampler(src prng.Source) *sampler.Bitsliced {
 	return sampler.NewBitslicedOpt("bitsliced-split("+a.Key.Sigma+")", a.Optimized(), src)
 }

@@ -10,7 +10,7 @@ import (
 // one bounds-checked word at a time, and the per-bit shift-and-mask
 // unpack.  It is the measurement baseline the optimized engine is
 // compared against (BENCH_PR2.json, samplebench, bench_test.go) and the
-// stream a width-1 Bitsliced must reproduce bit-for-bit.  Do not optimize
+// stream every Bitsliced must reproduce bit-for-bit.  Do not optimize
 // it — its value is being the fixed point of comparison.
 type Reference struct {
 	prog *bitslice.Program

@@ -68,7 +68,7 @@ func unpackSigned(planes []uint64, stride int, sign uint64, dst []int) {
 // that regenerates batch and resets used.  NextBatch drains samples
 // already buffered by Next before spending a fresh circuit evaluation, so
 // nothing is discarded; the buffer holds one refill's worth of samples
-// (64 for the per-batch samplers, width×64 for the wide interpreter).
+// (64 for Reference, W×64 for Bitsliced).
 type batchBuf struct {
 	batch []int
 	used  int
@@ -104,45 +104,37 @@ func (b *batchBuf) nextBatch(dst []int, refill func()) {
 	}
 }
 
-// DefaultWidth is the portable evaluation width: every circuit
-// evaluation runs each instruction over DefaultWidth contiguous words
-// (DefaultWidth×64 lanes), which amortizes interpreter dispatch and
-// mispredicted branches across the lanes — the dominant cost of width-1
-// interpretation.  Width-dependent callers (golden vectors, stream
-// comparisons) pin this; throughput paths should use NativeWidth, which
-// widens with the active SIMD backend.
-const DefaultWidth = 8
-
 // NativeWidth returns the evaluation width the active SIMD backend is
-// most efficient at (8 portable/AVX2, 16 AVX-512).  NewBitsliced and
-// NewBitslicedOpt samplers evaluate at this width; note the randomness
-// stream layout depends on the width (W-batch blocks), so fixed-stream
-// consumers must pin an explicit width via NewBitslicedWidth instead.
+// most efficient at (8 portable, 16 AVX2/AVX-512).  NewBitsliced and
+// NewBitslicedOpt samplers evaluate at this width.
 func NativeWidth() int { return dispatch.Active().NativeWidth() }
 
-// Bitsliced is the paper's constant-time sampler: a compiled straight-line
-// circuit evaluated on W×64 lanes of packed random bits per pass.  The
-// circuit runs in its register-allocated Optimized form (dense slot file,
-// fused dispatch, wide lanes) and batches unpack through one 64×64
-// bit-matrix transpose per 64 lanes.
+// Bitsliced is the paper's constant-time sampler: a straight-line circuit
+// evaluated on W×64 lanes of packed random bits per refill, unpacked
+// through one 64×64 bit-matrix transpose per 64 lanes.  The circuit is
+// either interpreted in its register-allocated Optimized form (dense slot
+// file, fused dispatch, SIMD kernels at the wide widths) or the generated
+// native Go function of NewCompiled, the paper's deployment form.
 //
-// Randomness is consumed in W-batch blocks: NumInputs×W input words
-// (input-major) followed by W sign words.  At width 1 this is exactly the
-// draw order of the original per-batch interpreter, so a width-1 sampler
-// is stream-compatible with the reference implementation; wider samplers
-// trade stream layout for throughput (the per-sample distribution is
-// identical at any width).
+// There is one randomness layout.  A refill draws (NumInputs+1)×W words
+// in one pass, batch-major: for each 64-lane batch, its NumInputs input
+// words and then its sign word — the per-batch order of the paper's
+// sampler.  So one (circuit, PRNG, seed) yields one sample stream at
+// every width, under every SIMD backend, and through the generated
+// circuit: W is a pure speed choice.
 type Bitsliced struct {
-	opt   *bitslice.Optimized
+	opt   *bitslice.Optimized    // interpreted circuit, or nil
+	fn    func(in, out []uint64) // generated circuit (width 1), or nil
+	nin   int
 	rd    *prng.BitReader
 	name  string
 	w     int
-	in    []uint64 // NumInputs×W, input-major
-	slots []uint64 // NumSlots×W, slot-major
+	draw  []uint64 // (NumInputs+1)×W, batch-major
+	in    []uint64 // NumInputs×W, input-major (interpreter only)
+	slots []uint64 // NumSlots×W, slot-major (interpreter only)
 	out   []uint64 // ValueBits×W, output-major
-	signs []uint64
 	batchBuf
-	// Batches counts 64-sample batches generated (W per evaluation).
+	// Batches counts 64-sample batches generated (W per refill).
 	Batches uint64
 }
 
@@ -155,28 +147,43 @@ func NewBitsliced(name string, prog *bitslice.Program, src prng.Source) *Bitslic
 }
 
 // NewBitslicedOpt wraps an already-optimized circuit and a random source
-// at the active backend's native width (NativeWidth).  Callers that need
-// a width-stable randomness stream must use NewBitslicedWidth.
+// at the active backend's native width (NativeWidth).
 func NewBitslicedOpt(name string, opt *bitslice.Optimized, src prng.Source) *Bitsliced {
 	return NewBitslicedWidth(name, opt, src, NativeWidth())
 }
 
 // NewBitslicedWidth wraps an optimized circuit with an explicit
-// evaluation width w ≥ 1 (1 = the reference stream layout, 8 or 16 =
-// the SIMD kernel widths, 512 or 1024 lanes per pass).
+// evaluation width w ≥ 1 (1 = the paper's per-batch form, 8 or 16 = the
+// SIMD kernel widths, 512 or 1024 lanes per pass).
 func NewBitslicedWidth(name string, opt *bitslice.Optimized, src prng.Source, w int) *Bitsliced {
 	if w < 1 {
 		panic(fmt.Sprintf("sampler: width %d < 1", w))
 	}
+	b := newBitsliced(name, opt.NumInputs, len(opt.Outputs), src, w)
+	b.opt = opt
+	b.in = make([]uint64, opt.NumInputs*w)
+	b.slots = opt.NewSlots(w)
+	return b
+}
+
+// NewCompiled wraps a circuit compiled to Go source by the generator tool
+// (cmd/gaussgen) rather than interpreted instruction by instruction —
+// exactly how the paper deploys its sampler (its tool emits C that is
+// compiled into Falcon).  It evaluates one batch per refill.
+func NewCompiled(name string, fn func(in, out []uint64), numInputs, valueBits int, src prng.Source) *Bitsliced {
+	b := newBitsliced(name, numInputs, valueBits, src, 1)
+	b.fn = fn
+	return b
+}
+
+func newBitsliced(name string, numInputs, valueBits int, src prng.Source, w int) *Bitsliced {
 	return &Bitsliced{
-		opt:      opt,
+		nin:      numInputs,
 		rd:       prng.NewBitReader(src),
 		name:     name,
 		w:        w,
-		in:       make([]uint64, opt.NumInputs*w),
-		slots:    opt.NewSlots(w),
-		out:      make([]uint64, len(opt.Outputs)*w),
-		signs:    make([]uint64, w),
+		draw:     make([]uint64, (numInputs+1)*w),
+		out:      make([]uint64, valueBits*w),
 		batchBuf: newBatchBuf(w * 64),
 	}
 }
@@ -190,19 +197,25 @@ func (b *Bitsliced) BitsUsed() uint64 { return b.rd.BitsRead }
 // Width returns the evaluation width W.
 func (b *Bitsliced) Width() int { return b.w }
 
-// Program exposes the compiled circuit (op counts for the cost model).
-func (b *Bitsliced) Program() *bitslice.Program { return b.opt.Program() }
-
-// Optimized exposes the evaluation form actually executed.
-func (b *Bitsliced) Optimized() *bitslice.Optimized { return b.opt }
-
 func (b *Bitsliced) refill() {
-	b.rd.FillWords(b.in)
-	b.rd.FillWords(b.signs)
-	b.opt.RunWideInto(b.w, b.in, b.slots, b.out)
+	b.rd.FillWords(b.draw)
+	k := b.nin + 1
+	if b.fn != nil {
+		// Width 1: the draw's first NumInputs words are the input block.
+		b.fn(b.draw[:b.nin], b.out)
+	} else {
+		// Gather each batch's input words into the input-major layout
+		// RunWideInto takes: input i of batch blk is in[i×W+blk].
+		for blk := 0; blk < b.w; blk++ {
+			for i, v := range b.draw[blk*k : blk*k+b.nin] {
+				b.in[i*b.w+blk] = v
+			}
+		}
+		b.opt.RunWideInto(b.w, b.in, b.slots, b.out)
+	}
 	for blk := 0; blk < b.w; blk++ {
 		base := blk * 64
-		unpackSigned(b.out[blk:], b.w, b.signs[blk], b.batch[base:base+64])
+		unpackSigned(b.out[blk:], b.w, b.draw[blk*k+b.nin], b.batch[base:base+64])
 	}
 	b.used = 0
 	b.Batches += uint64(b.w)

@@ -1,6 +1,7 @@
 package sampler
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -281,27 +282,31 @@ func TestBitslicedMatchesReferenceInterpreter(t *testing.T) {
 	}
 }
 
-// TestWidthsAgreeOnDistribution: every width draws from the same
-// distribution — same multiset statistics over a long run (widths change
-// the stream layout, never the per-sample law).
+// TestWidthsAgreeOnDistribution: every width, and the same circuit run
+// as a generated function (NewCompiled), draws the identical sample
+// stream — the one randomness layout makes width a pure speed choice,
+// so the per-sample law agrees trivially.
 func TestWidthsAgreeOnDistribution(t *testing.T) {
 	prog := randTestProgram(99)
 	opt := bitslice.Optimize(prog)
-	const n = 64 * 256
-	counts := make(map[int]map[int]float64)
-	for _, w := range []int{1, 4, 8} {
-		s := NewBitslicedWidth("w", opt, prng.MustChaCha20([]byte("dist")), w)
-		c := make(map[int]float64)
-		for i := 0; i < n; i++ {
-			c[s.Next()]++
-		}
-		counts[w] = c
+	regs := make([]uint64, prog.NumRegs)
+	fn := func(in, out []uint64) { prog.RunInto(in, regs, out) }
+	const n = 64*16*3 + 100 // crosses refill boundaries at every width
+	want := make([]int, n)
+	ref := NewReference(prog, prng.MustChaCha20([]byte("dist")))
+	for i := range want {
+		want[i] = ref.Next()
 	}
-	for _, w := range []int{4, 8} {
-		for v, f1 := range counts[1] {
-			fw := counts[w][v]
-			if diff := (f1 - fw) / n; diff > 0.05 || diff < -0.05 {
-				t.Errorf("w=%d: P(%d) deviates: %v vs %v", w, v, f1/n, fw/n)
+	samplers := map[string]Sampler{
+		"compiled": NewCompiled("c", fn, prog.NumInputs, len(prog.Outputs), prng.MustChaCha20([]byte("dist"))),
+	}
+	for _, w := range []int{1, 2, 3, 4, 8, 16} {
+		samplers[fmt.Sprintf("w=%d", w)] = NewBitslicedWidth("w", opt, prng.MustChaCha20([]byte("dist")), w)
+	}
+	for name, s := range samplers {
+		for i := range want {
+			if got := s.Next(); got != want[i] {
+				t.Fatalf("%s: sample %d is %d, reference stream has %d", name, i, got, want[i])
 			}
 		}
 	}

@@ -13,8 +13,7 @@ import (
 // the engine rings, handing out consecutive zero-copy slices of
 // completed refills, so concurrent small requests share refills by
 // construction — 32 concurrent 16-sample requests consume 512
-// consecutive samples, one 512-lane evaluation's worth, not 32 separate
-// batches.  Absent concurrent requests the served stream is exactly the
+// consecutive samples of one refill, not 32 separate batches.  Absent concurrent requests the served stream is exactly the
 // Pool.NextBatch sequence a direct caller would draw, which the
 // bit-identity integration test pins.
 //
@@ -46,8 +45,8 @@ func (c *coalescer) sigmaStats() sigmaStats {
 		sigma: c.sigma,
 		// One "batch" is the pool's native 64-sample granularity; the
 		// engine ledger counts samples exactly, so the derived batch
-		// counter advances once per 64 consumed — and refills started ×
-		// batches-per-refill reconciles with it, as the coalescing test
+		// counter advances once per 64 consumed — and refills started is
+		// its ceiling over batches-per-refill, as the coalescing test
 		// pins.
 		batches:          es.SamplesServed / 64,
 		refills:          es.RefillsStarted,

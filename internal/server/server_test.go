@@ -200,11 +200,12 @@ func TestSamplesCoalescing(t *testing.T) {
 	if want := float64(clients * perClient / 64); batches != want {
 		t.Fatalf("coalescing: %v batches drawn for %d samples, want %v", batches, clients*perClient, want)
 	}
-	// The refill ledger must agree with the engine width: refills =
-	// batches / batches-per-refill.
+	// The refill ledger must agree with the engine width: refills
+	// started = ⌈samples / (64·batches-per-refill)⌉.
 	width := s.co["2"].stats.BatchesPerRefill
 	refills := scrapeMetric(t, ts.URL, `ctgaussd_refills_total{sigma="2"}`)
-	if want := float64(clients*perClient/64) / float64(width); refills != want {
+	perRefill := 64 * width
+	if want := float64((clients*perClient + perRefill - 1) / perRefill); refills != want {
 		t.Fatalf("refills = %v, want %v (width %d)", refills, want, width)
 	}
 }

@@ -66,7 +66,7 @@ type Pool struct {
 	eng      *engine.Engine[int]
 	picker   *engine.Picker
 	samplers []sampler.BatchSampler
-	width    int // batches per shard refill (1 on the compiled path)
+	width    int // batches per shard refill
 
 	// mkSampler rebuilds shard i's sampler from its domain-separated
 	// seed — the engine's Reset hook after a recovered refill panic.  A
@@ -81,15 +81,6 @@ type Pool struct {
 // 0: double buffering, so each shard's producer fills one slot while
 // consumers drain another.
 const DefaultPrefetch = engine.DefaultDepth
-
-// poolWidth is the evaluation width of interpreter-backed pool shards:
-// each circuit evaluation runs over poolWidth contiguous words (so
-// poolWidth×64 samples per pass), amortizing interpreter dispatch and the
-// bulk randomness draw across batches served from one refill.  It
-// follows the active SIMD backend's native width (8 portable, 16
-// AVX-512), so each pool's stream — and its golden pins — is a function
-// of the backend's width, never of which ISA executes it.
-func poolWidth() int { return sampler.NativeWidth() }
 
 // NewPool builds a serving pool with default configuration for the given
 // σ.  parallelism is the shard count: 0 means runtime.NumCPU().
@@ -122,11 +113,11 @@ func NewPoolWithConfig(cfg Config, parallelism int) (*Pool, error) {
 	// Only trust the generated circuit when its shape matches the freshly
 	// built program (it is regenerated by `go generate`, not per build).
 	useCompiled := fn != nil && nin == art.Program.NumInputs && nval == art.Program.ValueBits
-	interpWidth := poolWidth()
-	p := &Pool{art: art, picker: engine.NewPicker(parallelism), width: interpWidth}
-	if useCompiled {
-		p.width = 1
-	}
+	// Each shard refill is NativeWidth batches (8 portable, 16 with AVX2
+	// or AVX-512), amortizing dispatch and the bulk randomness draw; the
+	// stream is the same at any width.
+	width := sampler.NativeWidth()
+	p := &Pool{art: art, picker: engine.NewPicker(parallelism), width: width}
 	p.mkSampler = func(i int) (sampler.BatchSampler, error) {
 		src, err := prng.NewSource(cfg.PRNG, shardSeed(cfg.Seed, i))
 		if err != nil {
@@ -135,7 +126,7 @@ func NewPoolWithConfig(cfg Config, parallelism int) (*Pool, error) {
 		if useCompiled {
 			return sampler.NewCompiled(fmt.Sprintf("pool-compiled(%s)#%d", cfg.Sigma, i), fn, nin, nval, src), nil
 		}
-		return art.NewWideSampler(src, interpWidth), nil
+		return art.NewWideSampler(src, width), nil
 	}
 	p.samplers = make([]sampler.BatchSampler, parallelism)
 	for i := range p.samplers {

@@ -1,11 +1,16 @@
 package ctgauss_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
 	"ctgauss"
+	"ctgauss/internal/bitslice/dispatch"
+	"ctgauss/internal/core"
+	"ctgauss/internal/prng"
+	"ctgauss/internal/registry"
 )
 
 // poolCfg builds at reduced precision so pool tests stay fast; the
@@ -150,6 +155,64 @@ func TestPoolDeterministicFromSeed(t *testing.T) {
 		for i := range sa {
 			if sa[i] != sb[i] {
 				t.Fatalf("shard %d sample %d: %d vs %d", shard, i, sa[i], sb[i])
+			}
+		}
+	}
+}
+
+// TestPoolStreamIndependentOfBackend pins a pool's served stream to its
+// seed alone.  Pools size each refill from the active backend's native
+// width, yet under every backend this machine can run, a one-shard
+// pool's Take stream must equal a width-1 sampler keyed with the shard
+// seed — for the generated circuit (σ=2 at full precision) and for the
+// interpreter (reduced precision).  Replicas on different CPUs that
+// share a seed therefore serve the same samples.
+func TestPoolStreamIndependentOfBackend(t *testing.T) {
+	seed := []byte("pool-backend-stream")
+	cfgs := []ctgauss.Config{
+		{Sigma: "2", Seed: seed},                // generated circuit
+		{Sigma: "2", Precision: 48, Seed: seed}, // interpreter
+	}
+	if testing.Short() {
+		cfgs = cfgs[1:] // skip the full-precision build
+	}
+	backends := append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)
+	for _, cfg := range cfgs {
+		precision := cfg.Precision
+		if precision == 0 {
+			precision = 128
+		}
+		art, err := registry.Shared().Get(core.Config{Sigma: cfg.Sigma, N: precision, TailCut: 13})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := art.NewWideSampler(prng.MustChaCha20(ctgauss.ShardSeed(seed, 0)), 1)
+		want := make([]int, 2500) // crosses refill boundaries at every width
+		for i := range want {
+			want[i] = ref.Next()
+		}
+		for _, b := range backends {
+			restore, err := dispatch.Force(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := ctgauss.NewPoolWithConfig(cfg, 1)
+			if err != nil {
+				restore()
+				t.Fatal(err)
+			}
+			got := make([]int, len(want))
+			err = p.Take(context.Background(), got)
+			p.Close()
+			restore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("σ=%s n=%d under %s (%d batches/refill): sample %d is %d, width-1 stream has %d",
+						cfg.Sigma, precision, b, b.NativeWidth(), i, got[i], want[i])
+				}
 			}
 		}
 	}
