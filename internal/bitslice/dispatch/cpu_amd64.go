@@ -44,7 +44,8 @@ func probe() []Backend {
 		out = append(out, AVX2)
 	}
 	// The zmm kernels use AVX-512F instructions only (VMOVDQU64,
-	// VPTERNLOGQ), so F is the sole ISA requirement.
+	// VPTERNLOGQ; ChaCha20's VPROLD, VPUNPCK*, VSHUFI32X4), so F is the
+	// sole ISA requirement.
 	if ebx7&(1<<16) != 0 && xcr0&zmmState == zmmState { // AVX512F
 		out = append(out, AVX512)
 	}

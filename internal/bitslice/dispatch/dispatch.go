@@ -1,12 +1,14 @@
-// Package dispatch selects the SIMD backend the bitslice evaluator runs
-// on.  Detection happens once at init: the CPU's vector extensions are
-// probed (hand-rolled CPUID/XGETBV on amd64 — the module is dependency-
-// free by policy), the CTGAUSS_SIMD environment override is applied, and
-// the winner is published through an atomic so evaluation reads it with
-// one load.  The pure-Go interpreter is always available as the portable
-// fallback, and every backend produces bit-identical output at a given
-// evaluation width — the backend changes who executes the instruction
-// stream, never what it computes.
+// Package dispatch selects the SIMD backend the bitslice evaluator and
+// the ChaCha20 keystream kernels (internal/prng) run on.  Detection
+// happens once at init: the CPU's vector extensions are probed (hand-
+// rolled CPUID/XGETBV on amd64 — the module is dependency-free by
+// policy), the CTGAUSS_SIMD environment override is applied, and the
+// winner is published through an atomic so each evaluation or keystream
+// refill reads it with one load.  Pure Go is always available as the
+// portable fallback, and every backend produces bit-identical output —
+// the same evaluation results at a given width, the same keystream
+// bytes — so the backend changes who executes the work, never what it
+// computes.
 //
 // Override values (CTGAUSS_SIMD): "off"/"portable" force the pure-Go
 // path, "avx2"/"avx512" request a specific kernel set.  Requesting a
@@ -23,18 +25,21 @@ import (
 	"sync/atomic"
 )
 
-// Backend identifies an evaluation kernel set.
+// Backend identifies a kernel set (bitslice evaluation and ChaCha20).
 type Backend int32
 
 // Backends, in preference order (higher is preferred when available).
 const (
-	// Portable is the pure-Go wide interpreter — always available.
+	// Portable is the pure-Go wide interpreter and scalar ChaCha20
+	// block — always available.
 	Portable Backend = iota
 	// AVX2 executes the op stream with 256-bit VPAND-class instructions,
-	// two ymm registers per 8-word slot.
+	// two ymm registers per 8-word slot, and computes ChaCha20 8 blocks
+	// per call.
 	AVX2
 	// AVX512 executes the op stream with 512-bit zmm registers; every
-	// opcode — fused or not — is a single VPTERNLOGQ per vector.
+	// opcode — fused or not — is a single VPTERNLOGQ per vector.  It
+	// computes ChaCha20 16 blocks per call.
 	AVX512
 )
 
@@ -82,8 +87,9 @@ func (b Backend) Widths() []int {
 	}
 }
 
-// active is the selected backend, read per evaluation via one atomic
-// load.  Tests flip it with Force; production selects once at init.
+// active is the selected backend, read per evaluation and per keystream
+// refill via one atomic load.  Tests flip it with Force; production
+// selects once at init.
 var active atomic.Int32
 
 // detected is the immutable set of backends this CPU+OS supports,

@@ -2,23 +2,211 @@ package prng
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"math/rand"
 	"testing"
+
+	"ctgauss/internal/bitslice/dispatch"
 )
 
-// RFC 8439 §2.3.2 test vector.
+// backends lists every ChaCha20 kernel this CPU can run: the portable
+// one, then each detected SIMD backend.
+func backends() []dispatch.Backend {
+	return append([]dispatch.Backend{dispatch.Portable}, dispatch.Detected()...)
+}
+
+// forEachBackend runs f as a subtest with each backend forced.
+func forEachBackend(t *testing.T, f func(t *testing.T)) {
+	for _, b := range backends() {
+		t.Run(b.String(), func(t *testing.T) {
+			restore, err := dispatch.Force(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restore()
+			f(t)
+		})
+	}
+}
+
+// RFC 8439 §2.3.2 test vector, through every kernel.
 func TestChaCha20RFC8439Block(t *testing.T) {
 	var key [32]byte
 	for i := range key {
 		key[i] = byte(i)
 	}
 	nonce := [12]byte{0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x4a, 0, 0, 0, 0}
-	got := KeystreamAt(key, 1, nonce)
 	want, _ := hex.DecodeString(
 		"10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e" +
 			"d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e")
-	if !bytes.Equal(got[:], want) {
-		t.Fatalf("ChaCha20 block mismatch:\n got %x\nwant %x", got, want)
+	forEachBackend(t, func(t *testing.T) {
+		got := KeystreamAt(key, 1, nonce)
+		if !bytes.Equal(got[:], want) {
+			t.Fatalf("ChaCha20 block mismatch:\n got %x\nwant %x", got, want)
+		}
+	})
+}
+
+// refQuarterRound and refChaCha20 are the original one-block-at-a-time
+// scalar generator, kept as the oracle every kernel must match byte for
+// byte, including the carry of state[12] into state[13].
+func refQuarterRound(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
+	a += b
+	d ^= a
+	d = d<<16 | d>>16
+	c += d
+	b ^= c
+	b = b<<12 | b>>20
+	a += b
+	d ^= a
+	d = d<<8 | d>>24
+	c += d
+	b ^= c
+	b = b<<7 | b>>25
+	return a, b, c, d
+}
+
+type refChaCha20 struct {
+	state [16]uint32
+	buf   [64]byte
+	used  int
+}
+
+// newRefChaCha20 shares the key setup with newChaCha20; the RFC 8439
+// known-answer test pins that setup.
+func newRefChaCha20(key *[32]byte, counter uint32, nonce *[12]byte) *refChaCha20 {
+	return &refChaCha20{state: newChaCha20(key, counter, nonce).state, used: 64}
+}
+
+func (c *refChaCha20) block() {
+	var x [16]uint32
+	copy(x[:], c.state[:])
+	for round := 0; round < 10; round++ {
+		x[0], x[4], x[8], x[12] = refQuarterRound(x[0], x[4], x[8], x[12])
+		x[1], x[5], x[9], x[13] = refQuarterRound(x[1], x[5], x[9], x[13])
+		x[2], x[6], x[10], x[14] = refQuarterRound(x[2], x[6], x[10], x[14])
+		x[3], x[7], x[11], x[15] = refQuarterRound(x[3], x[7], x[11], x[15])
+		x[0], x[5], x[10], x[15] = refQuarterRound(x[0], x[5], x[10], x[15])
+		x[1], x[6], x[11], x[12] = refQuarterRound(x[1], x[6], x[11], x[12])
+		x[2], x[7], x[8], x[13] = refQuarterRound(x[2], x[7], x[8], x[13])
+		x[3], x[4], x[9], x[14] = refQuarterRound(x[3], x[4], x[9], x[14])
+	}
+	for i := range x {
+		x[i] += c.state[i]
+	}
+	for i, v := range x {
+		binary.LittleEndian.PutUint32(c.buf[4*i:], v)
+	}
+	c.state[12]++
+	if c.state[12] == 0 {
+		c.state[13]++
+	}
+	c.used = 0
+}
+
+func (c *refChaCha20) Fill(p []byte) {
+	for len(p) > 0 {
+		if c.used == 64 {
+			c.block()
+		}
+		n := copy(p, c.buf[c.used:])
+		c.used += n
+		p = p[n:]
+	}
+}
+
+// TestChaCha20KernelIdentity pins every kernel to the scalar oracle over
+// random keys and nonces, counters just below 2^32 (so the carry into
+// state[13] lands inside a refill, including nonce word 0 = 2^32-1),
+// and every Fill length from 1 to 5000, from a fresh generator and
+// mid-stream.
+func TestChaCha20KernelIdentity(t *testing.T) {
+	forEachBackend(t, func(t *testing.T) {
+		key := [32]byte{1, 2, 3}
+		want := make([]byte, 5000)
+		newRefChaCha20(&key, 0, &[12]byte{}).Fill(want)
+		for n := 1; n <= len(want); n++ {
+			got := make([]byte, n)
+			newChaCha20(&key, 0, &[12]byte{}).Fill(got)
+			if !bytes.Equal(got, want[:n]) {
+				t.Fatalf("Fill(%d) differs from the scalar oracle", n)
+			}
+		}
+
+		rng := rand.New(rand.NewSource(8439))
+		for trial := 0; trial < 200; trial++ {
+			var key [32]byte
+			var nonce [12]byte
+			rng.Read(key[:])
+			rng.Read(nonce[:])
+			if trial%5 == 0 {
+				binary.LittleEndian.PutUint32(nonce[:], ^uint32(0))
+			}
+			counter := rng.Uint32()
+			if trial%2 == 0 {
+				counter = -uint32(1 + trial/2%16) // 2^32-k, k = 1…16
+			}
+			got, want := newChaCha20(&key, counter, &nonce), newRefChaCha20(&key, counter, &nonce)
+			for total := 0; total < 6000; {
+				n := 1 + rng.Intn(5000)
+				g, w := make([]byte, n), make([]byte, n)
+				got.Fill(g)
+				want.Fill(w)
+				if !bytes.Equal(g, w) {
+					t.Fatalf("trial %d (counter %#x): Fill(%d) after %d bytes differs from the scalar oracle", trial, counter, n, total)
+				}
+				total += n
+			}
+		}
+	})
+}
+
+// TestChaCha20BackendSwitchMidStream switches the active kernel between
+// refills (and mid-buffer) and checks the stream never notices.
+func TestChaCha20BackendSwitchMidStream(t *testing.T) {
+	var key [32]byte
+	copy(key[:], "switch")
+	all := backends()
+	for _, counter := range []uint32{0, ^uint32(39)} {
+		want := make([]byte, 64*1024)
+		newRefChaCha20(&key, counter, &[12]byte{}).Fill(want)
+		c := newChaCha20(&key, counter, &[12]byte{})
+		rng := rand.New(rand.NewSource(int64(counter)))
+		for off := 0; off < len(want); {
+			restore, err := dispatch.Force(all[rng.Intn(len(all))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := min(1+rng.Intn(3000), len(want)-off)
+			got := make([]byte, n)
+			c.Fill(got)
+			restore()
+			if !bytes.Equal(got, want[off:off+n]) {
+				t.Fatalf("counter %#x: bytes %d…%d differ after a backend switch", counter, off, off+n)
+			}
+			off += n
+		}
+	}
+}
+
+// BenchmarkChaCha20Fill measures 512-byte fills (one BitReader refill)
+// under each kernel.
+func BenchmarkChaCha20Fill(b *testing.B) {
+	for _, be := range backends() {
+		b.Run(be.String(), func(b *testing.B) {
+			restore, err := dispatch.Force(be)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer restore()
+			c := MustChaCha20([]byte("bench"))
+			p := make([]byte, 512)
+			b.SetBytes(int64(len(p)))
+			for b.Loop() {
+				c.Fill(p)
+			}
+		})
 	}
 }
 
