@@ -73,8 +73,8 @@ func TestPoolAsyncMatchesSync(t *testing.T) {
 
 // TestPoolTakeMatchesBatchStream pins Take's stream semantics: on a
 // single-shard pool, arbitrary-length takes concatenate to exactly the
-// NextBatch stream a direct caller would draw — the property the server
-// coalescers rely on for the HTTP bit-identity acceptance test.
+// NextBatch stream a direct caller would draw — the property the server's
+// draw route relies on for the HTTP bit-identity acceptance test.
 func TestPoolTakeMatchesBatchStream(t *testing.T) {
 	cfg := poolCfg
 	cfg.Seed = []byte("take-stream")

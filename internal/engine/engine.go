@@ -1,7 +1,7 @@
 // Package engine is the unified asynchronous refill runtime under every
 // sharded serving surface in this repo: ctgauss.Pool, ctgauss.Arbitrary
-// (the convolution layer's base draws), falcon.SignerPool, and the
-// ctgaussd request coalescers.
+// (the convolution layer's base draws) and falcon.SignerPool — and
+// through them ctgaussd's draw route.
 //
 // The paper's speed claim rests on keeping the bitsliced lanes full — a
 // circuit evaluation amortizes only when all W×64 lanes of a refill are
@@ -9,7 +9,7 @@
 // request goroutine under a shard mutex: p99 latency absorbed whole
 // evaluation costs, shards sat idle between requests, and the
 // shard/ring/ledger machinery was hand-rolled in three packages plus two
-// server coalescer variants.  Engine centralizes it:
+// server-side request-batching variants.  Engine centralizes it:
 //
 //   - Each shard owns a ring of Depth refill slots.  A background
 //     producer goroutine runs the fill function (a circuit evaluation, a
@@ -587,7 +587,7 @@ func (e *Engine[T]) Rings() []RingStat {
 }
 
 // Ledger is the unified refill/consumption accounting, aggregated over
-// all shards.  It replaces the per-layer BitsUsed sums, coalescer batch
+// all shards.  It replaces the per-layer BitsUsed sums, server batch
 // counters, and laneSource draw ledgers that predate the engine.
 type Ledger struct {
 	Shards   int

@@ -7,8 +7,9 @@ import (
 
 // NumBuckets is the number of log2 histogram buckets: bucket i counts
 // observations with ceil(log2(ns)) == i, saturating at the top, so the
-// range spans 1ns through ~68s.  Matches the server's endpoint-latency
-// histograms so stage and endpoint distributions compare directly.
+// range spans 1ns through ~68s.  The server's endpoint-latency and
+// per-stage histograms are both this type, so their distributions
+// compare directly.
 const NumBuckets = 37
 
 // Histogram is a lock-free log2 latency histogram.  The zero value is

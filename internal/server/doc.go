@@ -5,13 +5,15 @@
 // The package is the glue between stateless HTTP requests and the
 // stateful batch-oriented backends:
 //
-//   - /v1/samples draws from per-σ ctgauss.Pool instances, which run on
-//     the unified refill runtime (internal/engine): background producers
-//     evaluate circuits ahead of demand and Pool.Take serves each
-//     request an exact slice of the refill stream, so concurrent small
-//     requests share refills by construction — the coalescers keep no
-//     cursor or leftover buffer of their own, only the per-σ ledger the
-//     /metrics scrape reads.
+//   - /v1/samples and /v1/arbitrary share one keyed draw route
+//     (Server.draw): a precompiled σ takes from its ctgauss.Pool; any
+//     other σ is served by the convolution layer (ctgauss.Arbitrary) or,
+//     once the tier controller has promoted the key, by a compiled pool.
+//     Pools run on the unified refill runtime (internal/engine):
+//     background producers evaluate circuits ahead of demand and
+//     Pool.Take serves each request an exact slice of the refill stream,
+//     so concurrent small requests share refills by construction with no
+//     cursor or leftover buffer in the server.
 //   - /v1/falcon/sign and /v1/falcon/verify run on a sharded
 //     falcon.SignerPool over the daemon's key.
 //   - /healthz reports liveness and configuration; /metrics exports

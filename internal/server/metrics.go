@@ -3,9 +3,11 @@ package server
 import (
 	"fmt"
 	"io"
-	"math/bits"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,55 +17,24 @@ import (
 	"ctgauss/internal/tier"
 )
 
-// latBuckets is the number of power-of-two latency histogram buckets:
-// bucket i counts observations with ceil(log2(ns)) == i, so the range
-// [1ns, ~1.2min] is covered with ~2× resolution and no allocation on the
-// hot path.
-const latBuckets = 37
-
-// histogram is a lock-free log2-bucketed latency histogram.  Quantiles
-// are read from bucket boundaries, so they carry at most a factor-2
-// overestimate — the right precision/cost point for serving telemetry
-// (exact per-request latencies live in the load generator's report).
-type histogram struct {
-	buckets [latBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sumNs   atomic.Uint64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	ns := uint64(d.Nanoseconds())
-	if ns == 0 {
-		ns = 1
-	}
-	idx := bits.Len64(ns - 1) // ceil(log2); exact powers land on their own bucket
-	if idx >= latBuckets {
-		idx = latBuckets - 1
-	}
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(ns)
-}
-
-// quantile returns the q-quantile in seconds (upper bucket bound), or 0
-// with no observations.
-func (h *histogram) quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
+// latencyQuantile returns h's q-quantile in seconds as a log2-bucket
+// upper bound (at most a factor-2 overestimate — the right
+// precision/cost point for serving telemetry; exact per-request
+// latencies live in the load generator's report), or 0 with no
+// observations.
+func latencyQuantile(h obs.HistogramSnapshot, q float64) float64 {
+	if h.Count == 0 {
 		return 0
 	}
-	target := uint64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
+	target := max(uint64(q*float64(h.Count)), 1)
 	var cum uint64
-	for i := 0; i < latBuckets; i++ {
-		cum += h.buckets[i].Load()
+	for i, n := range h.Buckets {
+		cum += n
 		if cum >= target {
-			return float64(uint64(1)<<uint(i)) / 1e9
+			return float64(obs.BucketUpperNs(i)) / 1e9
 		}
 	}
-	return float64(uint64(1)<<uint(latBuckets-1)) / 1e9
+	return float64(obs.BucketUpperNs(obs.NumBuckets-1)) / 1e9
 }
 
 // endpointMetrics counts one endpoint's traffic.
@@ -75,7 +46,7 @@ type endpointMetrics struct {
 	refused   atomic.Uint64 // 503 drain-gate refusals
 	cancelled atomic.Uint64 // requests abandoned by cancellation or deadline
 	inflight  atomic.Int64
-	lat       histogram
+	lat       obs.Histogram
 }
 
 // metrics is the server-wide counter set exported at /metrics.
@@ -84,6 +55,10 @@ type metrics struct {
 	samples   atomic.Uint64      // Gaussian samples served
 	signs     atomic.Uint64      // signatures produced
 	verifies  atomic.Uint64      // verification requests evaluated
+
+	// arbSamples counts samples served by the convolution layer only; a
+	// promoted key's compiled-tier samples are not in it.
+	arbSamples atomic.Uint64
 
 	// Per-tier ledgers of the free-form serving path: every /v1/arbitrary
 	// and free-form /v1/samples sample lands in exactly one of the two.
@@ -95,10 +70,22 @@ type metrics struct {
 	tierConvolvedSamples atomic.Uint64
 	tierCompiledNanos    atomic.Uint64
 	tierConvolvedNanos   atomic.Uint64
+
+	// sigmaSamples counts free-form samples per σ, both tiers: the rate
+	// signal the tier controller promotes on, exported per σ.  It is
+	// bounded by arbSigmaTrackLimit; sigmaOverflow records the cap
+	// being hit, so the series stays honest past it.
+	sigmaMu       sync.Mutex
+	sigmaSamples  map[float64]uint64
+	sigmaOverflow bool
 }
 
+// arbSigmaTrackLimit bounds the per-σ counter map (an adversarial
+// client must not grow server memory without bound).
+const arbSigmaTrackLimit = 4096
+
 func newMetrics(endpointNames []string) *metrics {
-	m := &metrics{}
+	m := &metrics{sigmaSamples: make(map[float64]uint64)}
 	for _, n := range endpointNames {
 		m.endpoints = append(m.endpoints, &endpointMetrics{name: n})
 	}
@@ -114,6 +101,17 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 	return nil
 }
 
+// recordSigma advances σ's free-form sample counter (bounded map).
+func (m *metrics) recordSigma(sigma float64, n uint64) {
+	m.sigmaMu.Lock()
+	if _, ok := m.sigmaSamples[sigma]; ok || len(m.sigmaSamples) < arbSigmaTrackLimit {
+		m.sigmaSamples[sigma] += n
+	} else {
+		m.sigmaOverflow = true
+	}
+	m.sigmaMu.Unlock()
+}
+
 // index returns the endpoint's position in the registration order —
 // the same order the obs.Observer was built with.
 func (m *metrics) index(name string) int {
@@ -123,43 +121,6 @@ func (m *metrics) index(name string) int {
 		}
 	}
 	return -1
-}
-
-// sigmaStats is the per-σ pool telemetry joined into the scrape by the
-// server, read from the pool engine's unified ledger by the coalescers.
-type sigmaStats struct {
-	sigma            string
-	batches          uint64
-	refills          uint64 // refills whose consumption began (sync-equivalent evaluations)
-	samples          uint64
-	batchesPerRefill int
-	shards           int
-	prefetch         int    // configured lookahead depth (0 = synchronous)
-	refillsProduced  uint64 // fills completed, including unconsumed lookahead
-	prefetchHits     uint64
-	prefetchMisses   uint64
-	producerRestarts uint64 // refill panics recovered (producer restarted)
-	refillsDiscarded uint64 // refills abandoned by a panicking fill
-	shardsPoisoned   int    // shards currently poisoned
-	rings            []ctgauss.RingStat
-}
-
-// tierScrape is the tier controller's state joined into the scrape by
-// the server (nil when tiering is disabled).
-type tierScrape struct {
-	stats tier.Stats
-	keys  []tier.KeyInfo // sorted by σ
-}
-
-// scrapeData bundles everything one /metrics render needs beyond the
-// counter set itself.
-type scrapeData struct {
-	sigmas   []sigmaStats
-	arb      *arbStats   // nil when the arbitrary layer is disabled
-	tier     *tierScrape // nil when tiering is disabled
-	draining bool
-	uptime   time.Duration
-	stages   []obs.StageScrape // nil when tracing is disabled
 }
 
 // promFamily collects one metric family's samples before emission.
@@ -238,9 +199,10 @@ func (ps *promSet) writeTo(w io.Writer) {
 // full; adjacent buckets merge into the coarser cumulative counts.
 var stageBucketIdx = []int{8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30, 32, 34}
 
-// writePrometheus renders the whole counter set in Prometheus text
-// exposition format, families sorted by name.
-func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
+// writePrometheus renders the server's counter set, pool and layer
+// ledgers in Prometheus text exposition format, families sorted by name.
+func (s *Server) writePrometheus(w io.Writer) {
+	m := s.m
 	ps := newPromSet()
 	epLabel := func(name string) string { return fmt.Sprintf("{endpoint=%q}", name) }
 
@@ -271,12 +233,12 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 
 	f = ps.family("ctgaussd_latency_seconds", "gauge", "Request latency quantiles per endpoint (log2-bucket upper bounds).")
 	for _, e := range m.endpoints {
+		h := e.lat.Snapshot()
 		for _, q := range []float64{0.5, 0.99} {
-			f.rowf(fmt.Sprintf("{endpoint=%q,quantile=%q}", e.name, fmt.Sprintf("%g", q)), "%g", e.lat.quantile(q))
+			f.rowf(fmt.Sprintf("{endpoint=%q,quantile=%q}", e.name, fmt.Sprintf("%g", q)), "%g", latencyQuantile(h, q))
 		}
-		count := e.lat.count.Load()
-		if count > 0 {
-			mean := float64(e.lat.sumNs.Load()) / float64(count) / 1e9
+		if h.Count > 0 {
+			mean := float64(h.SumNs) / float64(h.Count) / 1e9
 			f.rowf(fmt.Sprintf("{endpoint=%q,quantile=\"mean\"}", e.name), "%g", mean)
 		}
 	}
@@ -285,70 +247,68 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	ps.family("ctgaussd_signatures_total", "counter", "Falcon signatures produced.").rowf("", "%d", m.signs.Load())
 	ps.family("ctgaussd_verifies_total", "counter", "Falcon verifications evaluated.").rowf("", "%d", m.verifies.Load())
 
-	sigmas := d.sigmas
-	sort.Slice(sigmas, func(i, j int) bool { return sigmas[i].sigma < sigmas[j].sigma })
+	// Per-σ pool ledgers, one engine snapshot per σ.  The arbitrary
+	// layer's base engines add their fault-isolation rows under
+	// sigma="arbitrary", so one series covers every engine in the
+	// process.
+	sigmas := slices.Sorted(maps.Keys(s.pools))
+	es := make([]ctgauss.EngineStats, len(sigmas))
+	for i, sigma := range sigmas {
+		es[i] = s.pools[sigma].EngineStats()
+	}
 	sigLabel := func(sigma string) string { return fmt.Sprintf("{sigma=%q}", sigma) }
-	f = ps.family("ctgaussd_batches_total", "counter", "64-sample batches consumed from the pool's engine per sigma (served samples / 64).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.batches)
+	poolFamily := func(name, kind, help string, v func(i int) any) *promFamily {
+		f := ps.family(name, kind, help)
+		for i, sigma := range sigmas {
+			f.rowf(sigLabel(sigma), "%d", v(i))
+		}
+		return f
 	}
-	f = ps.family("ctgaussd_refills_total", "counter", "Circuit evaluations whose output entered the served stream per sigma (prefetch lookahead counts on first consumption; see _refills_produced_total).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.refills)
-	}
-	f = ps.family("ctgaussd_pool_samples_total", "counter", "Samples consumed from the pool's engine per sigma (exactly what clients were served).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.samples)
-	}
-	f = ps.family("ctgaussd_batches_per_refill", "gauge", "Evaluation width of the pool's engine (batches per refill).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.batchesPerRefill)
-	}
-	f = ps.family("ctgaussd_pool_shards", "gauge", "Shard count of the per-sigma sampling pool.")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.shards)
-	}
-	f = ps.family("ctgaussd_prefetch_depth", "gauge", "Configured refill lookahead per shard (0 = synchronous refill).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.prefetch)
-	}
-	f = ps.family("ctgaussd_refills_produced_total", "counter", "Circuit evaluations completed by the refill producers, including lookahead not yet consumed (>= ctgaussd_refills_total).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.refillsProduced)
-	}
-	f = ps.family("ctgaussd_prefetch_hits_total", "counter", "Draws served without waiting for a refill (the engine ring held data).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.prefetchHits)
-	}
-	f = ps.family("ctgaussd_prefetch_misses_total", "counter", "Draws that waited on a producer (async) or evaluated inline (sync).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.prefetchMisses)
-	}
+	// One "batch" is the pool's native 64-sample granularity; the engine
+	// ledger counts samples exactly, so the batch counter advances once
+	// per 64 consumed — and refills started is its ceiling over
+	// batches-per-refill, as the coalescing test pins.
+	poolFamily("ctgaussd_batches_total", "counter", "64-sample batches consumed from the pool's engine per sigma (served samples / 64).",
+		func(i int) any { return es[i].SamplesServed / 64 })
+	poolFamily("ctgaussd_refills_total", "counter", "Circuit evaluations whose output entered the served stream per sigma (prefetch lookahead counts on first consumption; see _refills_produced_total).",
+		func(i int) any { return es[i].RefillsStarted })
+	poolFamily("ctgaussd_pool_samples_total", "counter", "Samples consumed from the pool's engine per sigma (exactly what clients were served).",
+		func(i int) any { return es[i].SamplesServed })
+	poolFamily("ctgaussd_batches_per_refill", "gauge", "Evaluation width of the pool's engine (batches per refill).",
+		func(i int) any { return s.pools[sigmas[i]].Stats().BatchesPerRefill })
+	poolFamily("ctgaussd_pool_shards", "gauge", "Shard count of the per-sigma sampling pool.",
+		func(i int) any { return es[i].Shards })
+	poolFamily("ctgaussd_prefetch_depth", "gauge", "Configured refill lookahead per shard (0 = synchronous refill).",
+		func(i int) any { return es[i].Prefetch })
+	poolFamily("ctgaussd_refills_produced_total", "counter", "Circuit evaluations completed by the refill producers, including lookahead not yet consumed (>= ctgaussd_refills_total).",
+		func(i int) any { return es[i].RefillsProduced })
+	poolFamily("ctgaussd_prefetch_hits_total", "counter", "Draws served without waiting for a refill (the engine ring held data).",
+		func(i int) any { return es[i].PrefetchHits })
+	poolFamily("ctgaussd_prefetch_misses_total", "counter", "Draws that waited on a producer (async) or evaluated inline (sync).",
+		func(i int) any { return es[i].PrefetchMisses })
 
-	// Fault-isolation telemetry: the arbitrary layer's base engines are
-	// reported under sigma="arbitrary" so one series covers every engine
-	// in the process.
-	f = ps.family("ctgaussd_engine_producer_restarts_total", "counter", "Refill panics recovered per pool (the producer restarted after backoff).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.producerRestarts)
+	var restarts, discarded uint64
+	var poisoned int
+	if s.arb != nil {
+		for _, h := range s.arb.Health() {
+			restarts += h.Restarts
+			discarded += h.DiscardedRefills
+			if h.Poisoned {
+				poisoned++
+			}
+		}
 	}
-	if d.arb != nil {
-		f.rowf(sigLabel("arbitrary"), "%d", d.arb.producerRestarts)
+	arbRow := func(f *promFamily, v any) {
+		if s.arb != nil {
+			f.rowf(sigLabel("arbitrary"), "%d", v)
+		}
 	}
-	f = ps.family("ctgaussd_engine_refills_discarded_total", "counter", "Refills abandoned by a panicking fill per pool (never served).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.refillsDiscarded)
-	}
-	if d.arb != nil {
-		f.rowf(sigLabel("arbitrary"), "%d", d.arb.refillsDiscarded)
-	}
-	f = ps.family("ctgaussd_engine_shards_poisoned", "gauge", "Shards currently poisoned per pool (producer restarting or dead; draws fail over meanwhile).")
-	for _, s := range sigmas {
-		f.rowf(sigLabel(s.sigma), "%d", s.shardsPoisoned)
-	}
-	if d.arb != nil {
-		f.rowf(sigLabel("arbitrary"), "%d", d.arb.shardsPoisoned)
-	}
+	arbRow(poolFamily("ctgaussd_engine_producer_restarts_total", "counter", "Refill panics recovered per pool (the producer restarted after backoff).",
+		func(i int) any { return es[i].ProducerRestarts }), restarts)
+	arbRow(poolFamily("ctgaussd_engine_refills_discarded_total", "counter", "Refills abandoned by a panicking fill per pool (never served).",
+		func(i int) any { return es[i].RefillsDiscarded }), discarded)
+	arbRow(poolFamily("ctgaussd_engine_shards_poisoned", "gauge", "Shards currently poisoned per pool (producer restarting or dead; draws fail over meanwhile).",
+		func(i int) any { return es[i].ShardsPoisoned }), poisoned)
 
 	// Ring occupancy: how far ahead each shard's producer is right now.
 	// The arbitrary layer's base engines merge (sum) across members
@@ -362,46 +322,51 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 			ft.rowf(l, "%d", r.Target)
 		}
 	}
-	for _, s := range sigmas {
-		ringRows(s.sigma, s.rings)
+	for _, sigma := range sigmas {
+		ringRows(sigma, s.pools[sigma].RingStats())
 	}
-	if d.arb != nil {
-		ringRows("arbitrary", d.arb.rings)
+	if s.arb != nil {
+		ringRows("arbitrary", s.arb.RingStats())
 	}
 
-	if arb := d.arb; arb != nil {
-		ps.family("ctgaussd_arbitrary_samples_total", "counter", "Samples served by the free-form (sigma, mu) convolution layer.").rowf("", "%d", arb.samples)
-		ps.family("ctgaussd_arbitrary_trials_total", "counter", "Combine/round trials evaluated by the convolution layer.").rowf("", "%d", arb.trials)
-		ps.family("ctgaussd_arbitrary_accepted_total", "counter", "Trials accepted by the randomized-rounding step.").rowf("", "%d", arb.accepted)
-		ps.family("ctgaussd_arbitrary_sigmas", "gauge", "Distinct sigma values served since startup (capped tracking; see _sigmas_overflow).").rowf("", "%d", arb.distinctSigmas)
+	if s.arb != nil {
+		st := s.arb.Stats()
+		m.sigmaMu.Lock()
+		perSigma, overflowed := maps.Clone(m.sigmaSamples), m.sigmaOverflow
+		m.sigmaMu.Unlock()
 		overflow := 0
-		if arb.sigmaOverflow {
+		if overflowed {
 			overflow = 1
 		}
+		ps.family("ctgaussd_arbitrary_samples_total", "counter", "Samples served by the free-form (sigma, mu) convolution layer.").rowf("", "%d", m.arbSamples.Load())
+		ps.family("ctgaussd_arbitrary_trials_total", "counter", "Combine/round trials evaluated by the convolution layer.").rowf("", "%d", st.Trials)
+		ps.family("ctgaussd_arbitrary_accepted_total", "counter", "Trials accepted by the randomized-rounding step.").rowf("", "%d", st.Accepted)
+		ps.family("ctgaussd_arbitrary_sigmas", "gauge", "Distinct sigma values served since startup (capped tracking; see _sigmas_overflow).").rowf("", "%d", len(perSigma))
 		ps.family("ctgaussd_arbitrary_sigmas_overflow", "gauge", "Whether distinct-sigma tracking hit its cap (the gauge is then a lower bound).").rowf("", "%d", overflow)
-		ps.family("ctgaussd_arbitrary_plans", "gauge", "Distinct convolution plans compiled (one per requested sigma).").rowf("", "%d", arb.plans)
-		ps.family("ctgaussd_arbitrary_shards", "gauge", "Shard count of the arbitrary sampler.").rowf("", "%d", arb.shards)
+		ps.family("ctgaussd_arbitrary_plans", "gauge", "Distinct convolution plans compiled (one per requested sigma).").rowf("", "%d", st.Plans)
+		ps.family("ctgaussd_arbitrary_shards", "gauge", "Shard count of the arbitrary sampler.").rowf("", "%d", st.Shards)
 		f = ps.family("ctgaussd_arbitrary_sigma_samples_total", "counter", "Samples served per free-form sigma, both tiers (capped tracking; see _sigmas_overflow).")
-		for _, ss := range arb.sigmaSamples {
-			f.rowf(sigLabel(tier.SigmaString(ss.sigma)), "%d", ss.samples)
+		for _, sigma := range slices.Sorted(maps.Keys(perSigma)) {
+			f.rowf(sigLabel(tier.SigmaString(sigma)), "%d", perSigma[sigma])
 		}
 	}
 
-	if ts := d.tier; ts != nil {
+	if s.tier != nil {
+		tst := s.tier.Stats()
 		f = ps.family("ctgaussd_tier_samples_total", "counter", "Free-form samples served per tier (compiled = promoted pool, convolved = convolution fallback).")
 		f.rowf("{tier=\"compiled\"}", "%d", m.tierCompiledSamples.Load())
 		f.rowf("{tier=\"convolved\"}", "%d", m.tierConvolvedSamples.Load())
 		f = ps.family("ctgaussd_tier_sample_seconds_total", "counter", "Time spent inside the sampler per tier (pool.Take / convolution draw; transport excluded — divide by _tier_samples_total for ns-per-sample).")
 		f.rowf("{tier=\"compiled\"}", "%g", float64(m.tierCompiledNanos.Load())/1e9)
 		f.rowf("{tier=\"convolved\"}", "%g", float64(m.tierConvolvedNanos.Load())/1e9)
-		ps.family("ctgaussd_tier_promotions_total", "counter", "Hot keys promoted onto compiled pools (build completed and installed).").rowf("", "%d", ts.stats.Promotions)
-		ps.family("ctgaussd_tier_demotions_total", "counter", "Compiled keys demoted back to the convolved tier (drain started).").rowf("", "%d", ts.stats.Demotions)
-		ps.family("ctgaussd_tier_builds_failed_total", "counter", "Promotion builds that errored or panicked (key stayed convolved).").rowf("", "%d", ts.stats.BuildsFailed)
-		ps.family("ctgaussd_tier_builds_deferred_total", "counter", "Promotion ticks skipped while the base set was degraded.").rowf("", "%d", ts.stats.BuildsDeferred)
-		ps.family("ctgaussd_tier_pools", "gauge", "Compiled pools currently held by the tier controller (building + compiled + draining).").rowf("", "%d", ts.stats.Pools)
-		ps.family("ctgaussd_tier_pools_max", "gauge", "Configured compiled-pool budget.").rowf("", "%d", ts.stats.MaxPools)
+		ps.family("ctgaussd_tier_promotions_total", "counter", "Hot keys promoted onto compiled pools (build completed and installed).").rowf("", "%d", tst.Promotions)
+		ps.family("ctgaussd_tier_demotions_total", "counter", "Compiled keys demoted back to the convolved tier (drain started).").rowf("", "%d", tst.Demotions)
+		ps.family("ctgaussd_tier_builds_failed_total", "counter", "Promotion builds that errored or panicked (key stayed convolved).").rowf("", "%d", tst.BuildsFailed)
+		ps.family("ctgaussd_tier_builds_deferred_total", "counter", "Promotion ticks skipped while the base set was degraded.").rowf("", "%d", tst.BuildsDeferred)
+		ps.family("ctgaussd_tier_pools", "gauge", "Compiled pools currently held by the tier controller (building + compiled + draining).").rowf("", "%d", tst.Pools)
+		ps.family("ctgaussd_tier_pools_max", "gauge", "Configured compiled-pool budget.").rowf("", "%d", tst.MaxPools)
 		f = ps.family("ctgaussd_tier_state", "gauge", "Tier state per tracked sigma (0=convolved, 1=building, 2=compiled, 3=draining).")
-		for _, k := range ts.keys {
+		for _, k := range s.tier.Snapshot() {
 			f.rowf(sigLabel(tier.SigmaString(k.Sigma)), "%d", int32(k.State))
 		}
 	}
@@ -410,9 +375,9 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	// request's wall time went, per endpoint.  Partition stages
 	// (queue_wait, decode, route, coalesce, encode, other) sum to
 	// total; engine_wait/eval/combine are sub-stages of coalesce.
-	if len(d.stages) > 0 {
+	if stages := s.obs.Scrape(); len(stages) > 0 {
 		f = ps.family("ctgaussd_stage_seconds", "histogram", "Per-stage request time by endpoint (partition stages sum to stage=\"total\"; engine_wait/eval/combine nest inside coalesce).")
-		for _, sc := range d.stages {
+		for _, sc := range stages {
 			var cum uint64
 			next := 0
 			for _, bi := range stageBucketIdx {
@@ -440,7 +405,7 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	b := obs.Build()
 	ps.family("ctgaussd_build_info", "gauge", "Build identity as labels (value is always 1).").
 		rowf(fmt.Sprintf("{version=%q,go_version=%q,simd=%q}", b.Version, b.GoVersion, dispatch.Active().String()), "1")
-	ps.family("ctgaussd_uptime_seconds", "gauge", "Seconds since the server started.").rowf("", "%g", d.uptime.Seconds())
+	ps.family("ctgaussd_uptime_seconds", "gauge", "Seconds since the server started.").rowf("", "%g", time.Since(s.start).Seconds())
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	ps.family("ctgaussd_go_goroutines", "gauge", "Live goroutines in the process.").rowf("", "%d", runtime.NumGoroutine())
@@ -450,7 +415,7 @@ func (m *metrics) writePrometheus(w io.Writer, d scrapeData) {
 	ps.family("ctgaussd_go_gc_cycles_total", "counter", "Completed GC cycles.").rowf("", "%d", ms.NumGC)
 
 	dr := 0
-	if d.draining {
+	if s.isDraining() {
 		dr = 1
 	}
 	ps.family("ctgaussd_draining", "gauge", "Whether the server is draining (1) or accepting requests (0).").rowf("", "%d", dr)

@@ -137,9 +137,9 @@ const (
 type Server struct {
 	cfg          Config
 	defaultSigma string
-	co           map[string]*coalescer
-	arb          *arbco           // nil when the arbitrary layer is disabled
-	tier         *tier.Controller // nil when tiering is disabled
+	pools        map[string]*ctgauss.Pool // precompiled σ pools, keyed by spelling
+	arb          *ctgauss.Arbitrary       // nil when the arbitrary layer is disabled
+	tier         *tier.Controller         // nil when tiering is disabled
 	signers      *falcon.SignerPool
 	pubEnc       string // base64 EncodePublic, fixed at startup
 	m            *metrics
@@ -212,7 +212,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		defaultSigma: cfg.Sigmas[0],
-		co:           make(map[string]*coalescer),
+		pools:        make(map[string]*ctgauss.Pool),
 		m:            newMetrics(endpoints),
 		obs: obs.New(obs.Config{
 			Trace:              cfg.Trace,
@@ -233,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for _, sigma := range cfg.Sigmas {
-		if _, dup := s.co[sigma]; dup {
+		if _, dup := s.pools[sigma]; dup {
 			return nil, fmt.Errorf("server: sigma %q listed twice", sigma)
 		}
 		prefetch := cfg.Prefetch
@@ -249,7 +249,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: building σ=%s pool: %w", sigma, err)
 		}
-		s.co[sigma] = newCoalescer(sigma, pool)
+		s.pools[sigma] = pool
 	}
 
 	if !cfg.DisableArbitrary {
@@ -263,7 +263,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: building arbitrary base set: %w", err)
 		}
-		s.arb = newArbco(arb)
+		s.arb = arb
 	}
 
 	if s.arb != nil && cfg.TierPromoteRPS > 0 {
@@ -285,7 +285,7 @@ func New(cfg Config) (*Server, error) {
 					Prefetch: cfg.Prefetch,
 				}, cfg.PoolShards)
 			},
-			Degraded: s.arb.degraded,
+			Degraded: s.arb.Degraded,
 			// Tier transitions (promoting/promoted/build-failed/demoting)
 			// land in the structured log instead of vanishing.
 			Logf: func(format string, args ...any) {
@@ -358,7 +358,7 @@ func (s *Server) ArbitraryBounds() (min, max float64, ok bool) {
 	if s.arb == nil {
 		return 0, 0, false
 	}
-	min, max = s.arb.arb.Bounds()
+	min, max = s.arb.Bounds()
 	return min, max, true
 }
 
@@ -393,11 +393,11 @@ func (s *Server) Close() {
 		if s.tier != nil {
 			s.tier.Close()
 		}
-		for _, co := range s.co {
-			co.pool.Close()
+		for _, pool := range s.pools {
+			pool.Close()
 		}
 		if s.arb != nil {
-			s.arb.arb.Close()
+			s.arb.Close()
 		}
 		if s.signers != nil {
 			s.signers.Close()
@@ -488,8 +488,9 @@ func writeUnavailable(w http.ResponseWriter, msg string) {
 // writeDrawError maps a draw failure to a response: cancellation →
 // 499 (client gone) or 503 + Retry-After (server-side deadline), both
 // counted in the endpoint's cancelled metric; a degraded or closing
-// pool → 503 + Retry-After; anything else is a request-validation error
-// (σ out of bounds, non-finite μ) → 400.
+// pool or a shed free-form draw → 503 + Retry-After; anything else is a
+// request-validation error (unknown σ, σ out of bounds, non-finite μ) →
+// 400.
 func (s *Server) writeDrawError(w http.ResponseWriter, endpoint string, err error) {
 	em := s.m.endpoint(endpoint)
 	switch {
@@ -499,6 +500,8 @@ func (s *Server) writeDrawError(w http.ResponseWriter, endpoint string, err erro
 	case errors.Is(err, context.DeadlineExceeded):
 		em.cancelled.Add(1)
 		writeUnavailable(w, "request timed out waiting for samples")
+	case errors.Is(err, errShed):
+		writeUnavailable(w, err.Error())
 	case errors.Is(err, ctgauss.ErrPoolDegraded), errors.Is(err, ctgauss.ErrArbitraryDegraded), errors.Is(err, ctgauss.ErrClosed):
 		writeUnavailable(w, "sampling runtime unavailable: "+err.Error())
 	default:
@@ -569,7 +572,7 @@ func (s *Server) endpoint(name string, h http.HandlerFunc) http.Handler {
 		defer em.inflight.Add(-1)
 		start := time.Now()
 		h(rec, r)
-		em.lat.observe(time.Since(start))
+		em.lat.Observe(time.Since(start).Nanoseconds())
 		// 499s are client departures, not server faults; they have their
 		// own counter.
 		if rec.status >= 400 && rec.status != statusClientClosedRequest {
@@ -635,38 +638,33 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	if req.Sigma == "" {
 		req.Sigma = s.defaultSigma
 	}
-	if req.Count < 1 {
-		writeError(w, http.StatusBadRequest, "count must be >= 1")
-		return
-	}
-	if req.Count > s.cfg.MaxCount {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("count %d exceeds limit %d", req.Count, s.cfg.MaxCount))
-		return
-	}
-	co, ok := s.co[req.Sigma]
-	if !ok {
-		// σ without a precompiled pool: fall through to the convolution
-		// layer (free-form σ), or report the precompiled menu when the
-		// layer is off.
-		if s.arb != nil {
-			s.serveFreeformSigma(w, r, req)
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown sigma %q (served: %v)", req.Sigma, s.cfg.Sigmas))
+	if !s.validCount(w, req.Count) {
 		return
 	}
 	out := make([]int, req.Count)
-	tr := traceOf(w)
-	t0 := tr.Now()
-	err := co.draw(r.Context(), out)
-	tr.End(obs.StageCoalesce, t0)
+	served, err := s.draw(r.Context(), drawKey{spelling: req.Sigma}, out)
 	if err != nil {
 		s.writeDrawError(w, epSamples, err)
 		return
 	}
-	s.m.samples.Add(uint64(req.Count))
+	if served != "" {
+		w.Header().Set(tierHeader, served)
+	}
 	writeJSON(w, http.StatusOK, samplesResponse{Sigma: req.Sigma, Count: req.Count, Samples: out})
+}
+
+// validCount rejects a sample count outside 1..MaxCount (400 or 413).
+func (s *Server) validCount(w http.ResponseWriter, n int) bool {
+	if n < 1 {
+		writeError(w, http.StatusBadRequest, "count must be >= 1")
+		return false
+	}
+	if n > s.cfg.MaxCount {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("count %d exceeds limit %d", n, s.cfg.MaxCount))
+		return false
+	}
+	return true
 }
 
 // signRequest is the /v1/falcon/sign request schema.
@@ -916,11 +914,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Simd:          dispatch.Snapshot(),
 		Sigmas:        s.cfg.Sigmas,
 		DefaultSigma:  s.defaultSigma,
-		PoolShards:    s.co[s.defaultSigma].pool.Size(),
-		Prefetch:      s.co[s.defaultSigma].pool.EngineStats().Prefetch,
+		PoolShards:    s.pools[s.defaultSigma].Size(),
+		Prefetch:      s.pools[s.defaultSigma].EngineStats().Prefetch,
 	}
 	for _, sigma := range s.cfg.Sigmas {
-		ph := poolHealthOf(sigma, s.co[sigma].pool.Health())
+		ph := poolHealthOf(sigma, s.pools[sigma].Health())
 		if ph.Poisoned > 0 {
 			status = "degraded"
 		}
@@ -928,9 +926,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.arb != nil {
 		resp.Arbitrary = true
-		resp.ArbitraryBases = s.arb.arb.Stats().Bases
-		resp.ArbitrarySigmaMin, resp.ArbitrarySigmaMax = s.arb.arb.Bounds()
-		ph := poolHealthOf("arbitrary", s.arb.arb.Health())
+		resp.ArbitraryBases = s.arb.Stats().Bases
+		resp.ArbitrarySigmaMin, resp.ArbitrarySigmaMax = s.arb.Bounds()
+		ph := poolHealthOf("arbitrary", s.arb.Health())
 		if ph.Poisoned > 0 {
 			status = "degraded"
 		}
@@ -980,26 +978,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var sigmas []sigmaStats
-	for _, co := range s.co {
-		sigmas = append(sigmas, co.sigmaStats())
-	}
-	var arb *arbStats
-	if s.arb != nil {
-		st := s.arb.stats()
-		arb = &st
-	}
-	var ts *tierScrape
-	if s.tier != nil {
-		ts = &tierScrape{stats: s.tier.Stats(), keys: s.tier.Snapshot()}
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.m.writePrometheus(w, scrapeData{
-		sigmas:   sigmas,
-		arb:      arb,
-		tier:     ts,
-		draining: s.isDraining(),
-		uptime:   time.Since(s.start),
-		stages:   s.obs.Scrape(),
-	})
+	s.writePrometheus(w)
 }

@@ -202,7 +202,7 @@ func TestSamplesCoalescing(t *testing.T) {
 	}
 	// The refill ledger must agree with the engine width: refills
 	// started = ⌈samples / (64·batches-per-refill)⌉.
-	width := s.co["2"].stats.BatchesPerRefill
+	width := s.pools["2"].Stats().BatchesPerRefill
 	refills := scrapeMetric(t, ts.URL, `ctgaussd_refills_total{sigma="2"}`)
 	perRefill := 64 * width
 	if want := float64((clients*perClient + perRefill - 1) / perRefill); refills != want {

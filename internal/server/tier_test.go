@@ -121,6 +121,10 @@ func TestTierTransitionUnderLoad(t *testing.T) {
 	if v := scrapeMetric(t, ts.URL, `ctgaussd_tier_samples_total{tier="convolved"}`); v != float64(64*convolvedSeen.Load()) {
 		t.Fatalf("convolved tier ledger = %v, want %d", v, 64*convolvedSeen.Load())
 	}
+	// The convolution layer's counter holds the convolved tier only.
+	if v, want := scrapeMetric(t, ts.URL, "ctgaussd_arbitrary_samples_total"), scrapeMetric(t, ts.URL, `ctgaussd_tier_samples_total{tier="convolved"}`); v != want {
+		t.Fatalf("arbitrary samples = %v, want the convolved tier's %v", v, want)
+	}
 	// The bounded per-σ ledger holds both tiers' traffic for the key.
 	total := 64 * (compiledSeen.Load() + convolvedSeen.Load())
 	if v := scrapeMetric(t, ts.URL, `ctgaussd_arbitrary_sigma_samples_total{sigma="2.5"}`); v != float64(total) {
