@@ -78,7 +78,8 @@ func compressCoeffs(cs []int16) []byte {
 	return w.buf
 }
 
-// decompressCoeffs decodes n signed coefficients.
+// decompressCoeffs decodes n signed coefficients, which must fill data
+// exactly (see the canonical-encoding check at the end).
 func decompressCoeffs(data []byte, n int) ([]int16, error) {
 	r := bitReader{buf: data}
 	out := make([]int16, n)
@@ -113,6 +114,15 @@ func decompressCoeffs(data []byte, n int) ([]int16, error) {
 			v = -v
 		}
 		out[i] = int16(v)
+	}
+	// Only the canonical encoding decodes: the payload ends with the byte
+	// holding the last coefficient's final bit, and that byte's padding
+	// bits are zero.  Otherwise one signature would have many encodings.
+	if used := (r.n + 7) / 8; used != uint(len(data)) {
+		return nil, fmt.Errorf("falcon: %d unconsumed payload bytes", uint(len(data))-used)
+	}
+	if pad := r.n % 8; pad != 0 && data[len(data)-1]&(0xff>>pad) != 0 {
+		return nil, fmt.Errorf("falcon: non-zero padding bits")
 	}
 	return out, nil
 }

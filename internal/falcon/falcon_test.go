@@ -287,8 +287,9 @@ func TestCompressCoeffsRoundTripEdgeValues(t *testing.T) {
 }
 
 func TestHashToPointRangeAndDeterminism(t *testing.T) {
-	c1 := hashToPoint([]byte("salt"), []byte("msg"), 512)
-	c2 := hashToPoint([]byte("salt"), []byte("msg"), 512)
+	c1, c2, c3 := make([]uint32, 512), make([]uint32, 512), make([]uint32, 512)
+	hashToPoint(c1, []byte("salt"), []byte("msg"))
+	hashToPoint(c2, []byte("salt"), []byte("msg"))
 	for i := range c1 {
 		if c1[i] >= Q {
 			t.Fatalf("coefficient %d out of range", i)
@@ -297,7 +298,7 @@ func TestHashToPointRangeAndDeterminism(t *testing.T) {
 			t.Fatal("hashToPoint not deterministic")
 		}
 	}
-	c3 := hashToPoint([]byte("salt2"), []byte("msg"), 512)
+	hashToPoint(c3, []byte("salt2"), []byte("msg"))
 	same := 0
 	for i := range c1 {
 		if c1[i] == c3[i] {

@@ -89,22 +89,32 @@ func (t *treeNode) leafSigmas(out []float64) []float64 {
 
 // ffSampling draws (z0, z1) ≈ (t0, t1) jointly Gaussian over the lattice
 // described by the tree: Falcon's fast Fourier nearest-plane analogue.
-// t0, t1 and the returned vectors are in the Fourier domain.
-func ffSampling(t0, t1 []complex128, node *treeNode, zs zSampler) (z0, z1 []complex128) {
+// t0, t1, z0 and z1 are Fourier-domain vectors of one length N; z0 and
+// z1 must not overlap t0, t1 or each other.  tmp (length ≥ 2N) is the
+// recursion's scratch, laid out like the reference ffSampling_fft's:
+// tmp[:N] receives the child call's two half-size outputs and tmp[N:] is
+// handed down as the child's own scratch.  z1 doubles as the split of
+// t1, and z0 as the split of t0 + (t1 − z1)·L, before each is
+// overwritten by the merge of its child's result.  Nothing is allocated.
+func ffSampling(z0, z1, t0, t1 []complex128, node *treeNode, zs zSampler, tmp []complex128) {
 	n := len(t0)
 	if n == 1 {
 		zv1 := zs.sample(real(t1[0]), node.right.leafSigma)
 		t0p := t0[0] + (t1[0]-complex(zv1, 0))*node.value[0]
 		zv0 := zs.sample(real(t0p), node.left.leafSigma)
-		return []complex128{complex(zv0, 0)}, []complex128{complex(zv1, 0)}
+		z0[0], z1[0] = complex(zv0, 0), complex(zv1, 0)
+		return
 	}
-	t1e, t1o := fft.Split(t1)
-	z1e, z1o := ffSampling(t1e, t1o, node.right, zs)
-	z1 = fft.Merge(z1e, z1o)
+	hn := n / 2
+	fft.SplitInto(z1[:hn], z1[hn:n], t1)
+	ffSampling(tmp[:hn], tmp[hn:n], z1[:hn], z1[hn:n], node.right, zs, tmp[n:])
+	fft.MergeInto(z1, tmp[:hn], tmp[hn:n])
 
-	t0p := fft.Add(t0, fft.Mul(fft.Sub(t1, z1), node.value))
-	t0e, t0o := fft.Split(t0p)
-	z0e, z0o := ffSampling(t0e, t0o, node.left, zs)
-	z0 = fft.Merge(z0e, z0o)
-	return z0, z1
+	l := node.value
+	for j := 0; j < n; j++ {
+		tmp[j] = t0[j] + (t1[j]-z1[j])*l[j]
+	}
+	fft.SplitInto(z0[:hn], z0[hn:n], tmp[:n])
+	ffSampling(tmp[:hn], tmp[hn:n], z0[:hn], z0[hn:n], node.left, zs, tmp[n:])
+	fft.MergeInto(z0, tmp[:hn], tmp[hn:n])
 }

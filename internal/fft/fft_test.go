@@ -2,7 +2,9 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -166,6 +168,189 @@ func TestHermitianSymmetryOfRealFFT(t *testing.T) {
 		d := F[n-1-j] - complex(real(F[j]), -imag(F[j]))
 		if math.Hypot(real(d), imag(d)) > 1e-9 {
 			t.Fatalf("hermitian symmetry broken at %d", j)
+		}
+	}
+}
+
+// The recursive, allocating transforms below are the oracle for the
+// in-place ones: they are the package's original formulation, with
+// their own root computation and complex division, so the *Into forms
+// are checked against an independent implementation.
+
+func oracleRoots(n int) []complex128 {
+	r := make([]complex128, n)
+	for j := range r {
+		r[j] = cmplx.Exp(complex(0, math.Pi*float64(2*j+1)/float64(n)))
+	}
+	return r
+}
+
+func oracleFFT(f []complex128) []complex128 {
+	n := len(f)
+	if n == 1 {
+		return []complex128{f[0]}
+	}
+	even := make([]complex128, n/2)
+	odd := make([]complex128, n/2)
+	for i := 0; i < n/2; i++ {
+		even[i] = f[2*i]
+		odd[i] = f[2*i+1]
+	}
+	return oracleMerge(oracleFFT(even), oracleFFT(odd))
+}
+
+func oracleInvFFT(F []complex128) []complex128 {
+	n := len(F)
+	if n == 1 {
+		return []complex128{F[0]}
+	}
+	fe, fo := oracleSplit(F)
+	even, odd := oracleInvFFT(fe), oracleInvFFT(fo)
+	out := make([]complex128, n)
+	for i := 0; i < n/2; i++ {
+		out[2*i] = even[i]
+		out[2*i+1] = odd[i]
+	}
+	return out
+}
+
+func oracleSplit(F []complex128) (fe, fo []complex128) {
+	n := len(F)
+	z := oracleRoots(n)
+	fe = make([]complex128, n/2)
+	fo = make([]complex128, n/2)
+	for j := 0; j < n/2; j++ {
+		a, b := F[j], F[j+n/2]
+		fe[j] = (a + b) / 2
+		fo[j] = (a - b) / (2 * z[j])
+	}
+	return fe, fo
+}
+
+func oracleMerge(fe, fo []complex128) []complex128 {
+	n := 2 * len(fe)
+	z := oracleRoots(n)
+	F := make([]complex128, n)
+	for j := 0; j < n/2; j++ {
+		F[j] = fe[j] + z[j]*fo[j]
+		F[j+n/2] = fe[j] - z[j]*fo[j]
+	}
+	return F
+}
+
+func toComplex(f []float64) []complex128 {
+	c := make([]complex128, len(f))
+	for i, v := range f {
+		c[i] = complex(v, 0)
+	}
+	return c
+}
+
+func maxCDiff(a, b []complex128) float64 {
+	var m float64
+	for i := range a {
+		if d := cmplx.Abs(a[i] - b[i]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
+// TestIntoFormsMatchOracle checks FFTInto, InvFFTInto, SplitInto and
+// MergeInto against the recursive oracle at every size 1…1024.  One
+// InvFFTInto scratch buffer serves every size, and the split/merge
+// round trip also runs in place on the two halves of one buffer.
+func TestIntoFormsMatchOracle(t *testing.T) {
+	const tol = 1e-9
+	rng := rand.New(rand.NewSource(8))
+	tmp := make([]complex128, 1024)
+	for n := 1; n <= 1024; n *= 2 {
+		f := randomPoly(rng, n)
+		F := make([]complex128, n)
+		FFTInto(F, f)
+		if d := maxCDiff(F, oracleFFT(toComplex(f))); d > tol {
+			t.Fatalf("n=%d: FFTInto off the oracle by %g", n, d)
+		}
+
+		// Perturb into a generic (non-Hermitian) vector for the inverse.
+		for i := range F {
+			F[i] += complex(0, float64(rng.Intn(7)-3))
+		}
+		orig := append([]complex128(nil), F...)
+		got := make([]float64, n)
+		for i := range tmp {
+			tmp[i] = complex(math.NaN(), math.NaN()) // stale scratch must not leak
+		}
+		InvFFTInto(got, F, tmp)
+		want := oracleInvFFT(F)
+		for i := range got {
+			if d := math.Abs(got[i] - real(want[i])); d > tol {
+				t.Fatalf("n=%d: InvFFTInto coefficient %d off the oracle by %g", n, i, d)
+			}
+		}
+		if maxCDiff(F, orig) != 0 {
+			t.Fatalf("n=%d: InvFFTInto modified its input", n)
+		}
+		if n == 1 {
+			continue
+		}
+
+		fe, fo := make([]complex128, n/2), make([]complex128, n/2)
+		SplitInto(fe, fo, F)
+		we, wo := oracleSplit(F)
+		if d := math.Max(maxCDiff(fe, we), maxCDiff(fo, wo)); d > tol {
+			t.Fatalf("n=%d: SplitInto off the oracle by %g", n, d)
+		}
+		M := make([]complex128, n)
+		MergeInto(M, fe, fo)
+		if d := maxCDiff(M, oracleMerge(fe, fo)); d > tol {
+			t.Fatalf("n=%d: MergeInto off the oracle by %g", n, d)
+		}
+
+		buf := append([]complex128(nil), F...)
+		SplitInto(buf[:n/2], buf[n/2:], buf)
+		if maxCDiff(buf[:n/2], fe) != 0 || maxCDiff(buf[n/2:], fo) != 0 {
+			t.Fatalf("n=%d: in-place SplitInto differs from out-of-place", n)
+		}
+		MergeInto(buf, buf[:n/2], buf[n/2:])
+		if maxCDiff(buf, M) != 0 {
+			t.Fatalf("n=%d: in-place MergeInto differs from out-of-place", n)
+		}
+	}
+}
+
+// TestTablesConcurrentFirstUse builds root tables from many goroutines
+// at once (run under -race).  The sizes are above any other test's, so
+// this is each table's first use.
+func TestTablesConcurrentFirstUse(t *testing.T) {
+	sizes := []int{2048, 4096, 8192}
+	const goroutines = 8
+	got := make([][][]complex128, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, n := range sizes {
+				got[g] = append(got[g], Roots(n))
+				FFTInto(make([]complex128, n), make([]float64, n))
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, n := range sizes {
+		want := oracleRoots(n)
+		for g := 0; g < goroutines; g++ {
+			r := got[g][i]
+			if &r[0] != &got[0][i][0] {
+				t.Fatalf("n=%d: goroutines saw different tables", n)
+			}
+		}
+		if d := maxCDiff(got[0][i], want); d > 1e-12 {
+			t.Fatalf("n=%d: roots off by %g", n, d)
+		}
+		if iz := tab(n).invZ2; len(iz) != n/2 || cmplx.Abs(iz[0]*2*want[0]-1) > 1e-12 {
+			t.Fatalf("n=%d: bad split table", n)
 		}
 	}
 }
